@@ -32,11 +32,11 @@ from .kernels import (
     deterministic_sets,
     dual_sim_classes,
     is_irreducible,
-    is_strictly_irreducible,
     reverse_kernel,
     sim_classes,
     stationary_distribution,
     strict_irreducibility_routes,
+    strict_verdict,
     validate_spec,
 )
 from .skew import (
@@ -211,7 +211,7 @@ def cmd_check(cfg: SystemConfig) -> str:
         f"STATIONARY: {' '.join(repr(float(v)) for v in spec.m.values)}",
         f"INVARIANT: ok max_deviation={dev:.3e}",
         f"IRREDUCIBLE: {_bool(is_irreducible(spec))}",
-        f"STRICT: {_bool(is_strictly_irreducible(spec))}",
+        f"STRICT: {_bool(strict_verdict(routes))}",
         "STRICT_ROUTES: "
         + " ".join(f"{k}={_bool(v)}" for k, v in routes.items()),
         "SIM_CLASSES: "

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPairState, StartOffSupport, ValidationError
+from .errors import StartOffSupport, ValidationError
 from .kernels import MarkovSpec
-from .skew import SkewSystem, build_pair_chain
+from .skew import SkewSystem
 
 _U64 = (1 << 64) - 1
 
@@ -102,22 +102,6 @@ def birkhoff_average(
     return total / n
 
 
-def _class_structure(sys: SkewSystem):
-    chain = build_pair_chain(sys)
-    classes = chain.closed_classes()
-    averages = []
-    for block in classes:
-        idx = sorted(block)
-        w = chain.stationary[idx]
-        pts = np.array([chain.states[i][1] for i in idx])
-        averages.append((idx, w / w.sum(), pts))
-    member = {}
-    for k, block in enumerate(classes):
-        for i in block:
-            member[i] = k
-    return chain, classes, averages, member
-
-
 def exact_birkhoff_limit(sys: SkewSystem, y: int, x: int, f) -> float:
     """Almost-sure limit of the Birkhoff averages started at pair (y, x).
 
@@ -125,14 +109,7 @@ def exact_birkhoff_limit(sys: SkewSystem, y: int, x: int, f) -> float:
     pair; for a strictly irreducible driving kernel this is the conditional
     expectation of f on the invariant partition, independent of y.
     """
-    fv = np.asarray(f, dtype=float)
-    chain, _, averages, member = _class_structure(sys)
-    pos = chain.index()
-    key = (int(y), int(x))
-    if key not in pos:
-        raise InvalidPairState(f"{key} is not an active (state, point) pair")
-    idx, w, pts = averages[member[pos[key]]]
-    return float(w @ fv[pts])
+    return sys.pair_analysis.class_average(y, x, np.asarray(f, dtype=float))
 
 
 def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
@@ -176,13 +153,10 @@ def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
     fv = np.asarray(f, dtype=float)
     if x not in sys.family.space.support_set:
         raise StartOffSupport(f"point {x} has zero mass")
-    chain, _, averages, member = _class_structure(sys)
-    pos = chain.index()
     mv = sys.spec.m.values
     total = 0.0
     for y in sys.spec.support:
-        idx, w, pts = averages[member[pos[(int(y), int(x))]]]
-        total += float(mv[int(y)]) * float(w @ fv[pts])
+        total += float(mv[int(y)]) * sys.pair_analysis.class_average(y, x, fv)
     return total
 
 

@@ -112,3 +112,19 @@ def strongly_connected_components(adj: np.ndarray) -> tuple[frozenset[int], ...]
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
     return len(strongly_connected_components(adj)) == 1
+
+
+def closed_components(adj: np.ndarray) -> tuple[frozenset[int], ...]:
+    """SCCs that no edge leaves, canonically ordered.
+
+    For a stochastic matrix's pattern these are its closed communicating
+    classes; their count is the dimension of the matrix's fixed space.
+    """
+    classes = strongly_connected_components(adj)
+    label = np.empty(adj.shape[0], dtype=np.intp)
+    for c, block in enumerate(classes):
+        label[list(block)] = c
+    rows, cols = np.nonzero(adj)
+    leaving = label[rows] != label[cols]
+    open_labels = set(label[rows[leaving]].tolist())
+    return tuple(b for c, b in enumerate(classes) if c not in open_labels)

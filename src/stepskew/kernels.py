@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -37,6 +36,7 @@ from .errors import (
 from .graphs import (
     DisjointSets,
     Partition,
+    closed_components,
     is_strongly_connected,
     partition_from_blocks,
 )
@@ -203,35 +203,37 @@ def validate_spec(kernel: StochasticMatrix, m: ProbVector) -> MarkovSpec:
 
 
 def stationary_distribution(kernel: StochasticMatrix) -> ProbVector:
-    """Solve m = m K when the fixed space of K^T is one-dimensional.
+    """Solve m = m K when K has a unique stationary vector.
 
-    Refuses ambiguous kernels (fixed space of dimension > 1) with
-    MultipleStationary; the caller must then supply the vector explicitly.
+    Uniqueness is decided on the pattern: the fixed space of a stochastic
+    matrix has one dimension per closed class, so a kernel with more than
+    one is refused with MultipleStationary and the caller must supply the
+    vector. It is solved on the closed class and is 0 on transient states.
     """
-    a = kernel.values.T - np.eye(kernel.n)
-    # Null space dimension decided on singular values at the stationarity
-    # tolerance; entries are O(1) so an absolute cutoff is appropriate.
-    u, s, vt = scipy.linalg.svd(a)
-    dim = int(np.sum(s <= EPS_SUM))
-    if dim > 1:
+    closed = closed_components(kernel.pattern)
+    if len(closed) > 1:
         raise MultipleStationary(
-            f"fixed space has dimension {dim}; supply the stationary vector"
+            f"fixed space has dimension {len(closed)}; supply the stationary vector"
         )
-    if dim == 0:
-        raise InternalInconsistency(
-            "stochastic matrix reported an empty fixed space"
-        )
-    v = vt[-1]
-    total = v.sum()
-    if abs(total) < EPS_SUM:
-        raise InternalInconsistency(
-            "one-dimensional fixed space contains no probability vector"
-        )
-    v = v / total
+    idx = sorted(closed[0])  # every row has mass, so some class is closed
+    # K - I with each diagonal entry taken as minus its row's off-diagonal
+    # sum: equal in exact arithmetic, and free of the cancellation in
+    # k(i, i) - 1 that swamps weak couplings.
+    gen = kernel.values[np.ix_(idx, idx)].copy()
+    np.fill_diagonal(gen, 0.0)
+    a = (gen - np.diag(gen.sum(axis=1))).T
+    a[-1] = 1.0  # the normalisation row: entries of v sum to 1
+    v = np.zeros(kernel.n)
+    v[idx] = np.linalg.solve(a, np.eye(len(idx))[-1])
     v = np.where(np.abs(v) < EPS_ZERO, 0.0, v)
     if v.min() < 0:
         raise InternalInconsistency(
             "unique fixed vector has a negative entry beyond noise level"
+        )
+    residual = float(np.abs(v @ kernel.values - v).max())
+    if residual > EPS_SUM:
+        raise InternalInconsistency(
+            f"solved stationary vector is not stationary ({residual:.3e})"
         )
     return ProbVector.from_values(v)
 
@@ -366,23 +368,16 @@ def is_strictly_irreducible(spec: MarkovSpec) -> bool:
     Computes all four equivalent characterizations and insists they agree;
     a disagreement is an implementation bug, never valid input.
     """
-    via_sim = sim_classes(spec).trivial
-    via_dual = dual_sim_classes(spec).trivial
-    _, pat = spec.support_pattern()
-    p = pat.astype(np.int64)
-    via_gram = is_strongly_connected((p.T @ p) > 0)
-    via_dual_gram = is_strongly_connected((p @ p.T) > 0)
-    verdicts = {
-        "sim": via_sim,
-        "dual_sim": via_dual,
-        "gram": via_gram,
-        "dual_gram": via_dual_gram,
-    }
+    return strict_verdict(strict_irreducibility_routes(spec))
+
+
+def strict_verdict(verdicts: dict[str, bool]) -> bool:
+    """The common verdict of the four routes; raises if they disagree."""
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
             f"strict-irreducibility characterizations disagree: {verdicts}"
         )
-    return via_sim
+    return verdicts["sim"]
 
 
 def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:

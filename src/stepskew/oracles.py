@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
 from .ergodic import orbit_occupancy, substream
-from .graphs import strongly_connected_components
+from .graphs import closed_components
 from .kernels import (
     MarkovSpec,
     ProbVector,
@@ -182,18 +182,6 @@ def _fill_weights(rng: np.random.Generator, n: int, rows: list[list[int]]) -> np
     return kernel
 
 
-def _closed_classes_of_pattern(pattern: np.ndarray) -> list[frozenset[int]]:
-    classes = strongly_connected_components(pattern)
-    closed = []
-    for block in classes:
-        idx = sorted(block)
-        outside = np.ones(pattern.shape[0], dtype=bool)
-        outside[idx] = False
-        if not pattern[np.ix_(idx, np.flatnonzero(outside))].any():
-            closed.append(block)
-    return closed
-
-
 def _stationary_on_class(kernel: np.ndarray, block: frozenset[int]) -> np.ndarray:
     idx = sorted(block)
     sub = StochasticMatrix.from_rows(kernel[np.ix_(idx, idx)])
@@ -251,7 +239,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 if alternating:
                     m = stationary_distribution(sm).values
                 else:
-                    classes = _closed_classes_of_pattern(sm.pattern)
+                    classes = closed_components(sm.pattern)
                     m1 = _stationary_on_class(sm.values, classes[0])
                     m2 = _stationary_on_class(sm.values, classes[1])
                     alpha = rng.uniform(0.2, 0.8)
@@ -263,7 +251,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 try:
                     m = stationary_distribution(sm).values
                 except MultipleStationary:
-                    closed = _closed_classes_of_pattern(sm.pattern)
+                    closed = closed_components(sm.pattern)
                     pick = closed[int(rng.integers(0, len(closed)))]
                     m = _stationary_on_class(sm.values, pick)
             return validate_spec(sm, ProbVector.from_values(m))

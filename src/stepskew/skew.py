@@ -22,6 +22,7 @@ are provided as constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -34,10 +35,11 @@ from .dynamics import (
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
+    InvalidPairState,
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, partition_from_blocks, strongly_connected_components
+from .graphs import Partition, closed_components, partition_from_blocks
 from .kernels import (
     EPS_SUM,
     MarkovSpec,
@@ -63,6 +65,11 @@ class SkewSystem:
             )
         return cls(spec, family)
 
+    @cached_property
+    def pair_analysis(self) -> "PairAnalysis":
+        """The pair chain and its closed classes, built once on first use."""
+        return PairAnalysis.of(build_pair_chain(self))
+
 
 @dataclass(frozen=True)
 class PairChain:
@@ -86,36 +93,33 @@ class PairChain:
 
     def closed_classes(self) -> tuple[frozenset[int], ...]:
         """SCCs of the transition pattern, verified to be closed."""
-        classes = strongly_connected_components(self.kernel > 0)
-        pat = self.kernel > 0
-        for block in classes:
-            idx = sorted(block)
-            outside = np.ones(self.size, dtype=bool)
-            outside[idx] = False
-            if pat[np.ix_(idx, np.flatnonzero(outside))].any():
-                raise InternalInconsistency(
-                    "pair chain has a transient class despite full-support stationarity"
-                )
+        classes = closed_components(self.kernel > 0)
+        if sum(len(block) for block in classes) != self.size:
+            raise InternalInconsistency(
+                "pair chain has a transient class despite full-support stationarity"
+            )
         return classes
 
 
 def build_pair_chain(sys: SkewSystem) -> PairChain:
     """Construct the pair chain and verify product-measure invariance."""
     spec, family = sys.spec, sys.family
-    states = [
-        (int(y), int(x)) for y in spec.support for x in family.space.support
-    ]
-    pos = {p: i for i, p in enumerate(states)}
-    size = len(states)
-    kernel = np.zeros((size, size))
+    active, points = spec.support, family.space.support
+    size = len(active) * len(points)
+    # Pair i = (ys[i], xs[i]) in lexicographic order; pos inverts it.
+    ys = np.repeat(active, len(points))
+    xs = np.tile(points, len(active))
+    pos = np.full((spec.n, family.space.k), -1, dtype=np.intp)
+    pos[ys, xs] = np.arange(size)
+    images = family.table_matrix()[ys, xs]
+    # One entry per (active row y, successor z) edge, repeated for every
+    # point: pair (y, x) steps to (z, T_y(x)) with weight k(y, z).
     kv = spec.kernel.values
-    for i, (y, x) in enumerate(states):
-        tx = int(family.maps[y].table[x])
-        for z in spec.kernel.row_support(y):
-            kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
-    stationary = np.array(
-        [spec.m.values[y] * family.space.mu.values[x] for (y, x) in states]
-    )
+    row, z = np.nonzero(kv[active])
+    src = row[:, None] * len(points) + np.arange(len(points))
+    kernel = np.zeros((size, size))
+    kernel[src, pos[z[:, None], images[src]]] = kv[active[row], z][:, None]
+    stationary = spec.m.values[ys] * family.space.mu.values[xs]
     row_dev = float(np.abs(kernel.sum(axis=1) - 1.0).max())
     if row_dev > EPS_SUM:
         raise InternalInconsistency(f"pair kernel rows are not stochastic ({row_dev:.3e})")
@@ -126,7 +130,58 @@ def build_pair_chain(sys: SkewSystem) -> PairChain:
         )
     kernel.setflags(write=False)
     stationary.setflags(write=False)
-    return PairChain(tuple(states), kernel, stationary)
+    return PairChain(tuple(zip(ys.tolist(), xs.tolist())), kernel, stationary)
+
+
+@dataclass(frozen=True)
+class PairAnalysis:
+    """A pair chain with its closed classes, each class's product mass, and
+    for each class its points with their product weights normalised within
+    the class. class_at maps every active pair to the index of its class.
+    """
+
+    chain: PairChain
+    classes: tuple[frozenset[int], ...]
+    class_at: dict[tuple[int, int], int]
+    masses: np.ndarray
+    averages: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, chain: PairChain) -> "PairAnalysis":
+        classes = chain.closed_classes()
+        class_at, masses, averages = {}, [], []
+        for c, block in enumerate(classes):
+            idx = sorted(block)
+            class_at.update((chain.states[i], c) for i in idx)
+            w = chain.stationary[idx]
+            masses.append(w.sum())
+            averages.append((w / w.sum(), np.array([chain.states[i][1] for i in idx])))
+        masses = np.array(masses)
+        masses.setflags(write=False)
+        return cls(chain, classes, class_at, masses, tuple(averages))
+
+    def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
+        """Product-weighted average of f over the closed class of pair (y, x)."""
+        key = (int(y), int(x))
+        if key not in self.class_at:
+            raise InvalidPairState(f"{key} is not an active (state, point) pair")
+        w, pts = self.averages[self.class_at[key]]
+        return float(w @ fv[pts])
+
+    def fixed_space_dim(self) -> int:
+        """Dimension of the pair kernel's fixed space, by SVD one class at a time.
+
+        No edge joins two classes, so with the pairs ordered by class P - I
+        is block diagonal and its singular values are those of its diagonal
+        blocks together: the per-block counts sum to the whole-matrix count.
+        """
+        dim = 0
+        for block in self.classes:
+            idx = sorted(block)
+            sub = self.chain.kernel[np.ix_(idx, idx)] - np.eye(len(idx))
+            s = scipy.linalg.svd(sub, compute_uv=False)
+            dim += int(np.sum(s <= 1e-10 * self.chain.size))
+        return dim
 
 
 @dataclass(frozen=True)
@@ -140,40 +195,35 @@ class ErgodicityReport:
     product_structured: bool
 
 
-def _classes_product_form(
-    chain: PairChain, classes: tuple[frozenset[int], ...], active_states: frozenset[int]
-) -> tuple[bool, list[frozenset[int]]]:
-    """Check each class is (all active states) x (a point section)."""
+def _product_sections(sys: SkewSystem) -> list[frozenset[int]] | None:
+    """Each class's point section if every class is (all active states) x
+    (a point section), else None."""
+    analysis = sys.pair_analysis
     sections: list[frozenset[int]] = []
-    for block in classes:
+    for block in analysis.classes:
         by_state: dict[int, set[int]] = {}
         for i in block:
-            y, x = chain.states[i]
+            y, x = analysis.chain.states[i]
             by_state.setdefault(y, set()).add(x)
         first = next(iter(by_state.values()))
-        if set(by_state) != set(active_states) or any(
+        if set(by_state) != set(sys.spec.support_set) or any(
             s != first for s in by_state.values()
         ):
-            return False, []
+            return None
         sections.append(frozenset(first))
-    return True, sections
+    return sections
 
 
 def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
     """Decide ergodicity of the skew product from the pair chain's classes."""
-    chain = build_pair_chain(sys)
-    classes = chain.closed_classes()
-    masses = np.array(
-        [chain.stationary[sorted(block)].sum() for block in classes]
-    )
-    product, _ = _classes_product_form(chain, classes, sys.spec.support_set)
-    partition = partition_from_blocks(range(chain.size), classes)
+    analysis = sys.pair_analysis
+    chain, classes = analysis.chain, analysis.classes
     return ErgodicityReport(
         ergodic=len(classes) == 1,
         pair_states=chain.states,
-        classes=partition,
-        class_masses=masses,
-        product_structured=product,
+        classes=partition_from_blocks(range(chain.size), classes),
+        class_masses=analysis.masses,
+        product_structured=_product_sections(sys) is not None,
     )
 
 
@@ -184,29 +234,26 @@ def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
     entrywise; an SVD rank check confirms no further independent solutions
     exist.
     """
-    chain = build_pair_chain(sys)
-    classes = chain.closed_classes()
+    analysis = sys.pair_analysis
+    chain = analysis.chain
+    ys, xs = np.array(chain.states).T
+    images = sys.family.table_matrix()[ys, xs]
     kv = sys.spec.kernel.values
+    grid = np.zeros((sys.spec.n, sys.family.space.k))
     vectors = []
-    for block in classes:
+    for block in analysis.classes:
         g = np.zeros(chain.size)
         g[sorted(block)] = 1.0
         # Verify the fixed-point identity directly from the kernel and maps,
         # not through the already-built pair matrix.
-        pos = chain.index()
-        for i, (y, x) in enumerate(chain.states):
-            tx = int(sys.family.maps[y].table[x])
-            acc = sum(
-                kv[y, int(z)] * g[pos[(int(z), tx)]]
-                for z in sys.spec.kernel.row_support(y)
+        grid[ys, xs] = g
+        bad = np.flatnonzero(np.abs(g - (kv @ grid)[ys, images]) > 1e-12)
+        if bad.size:
+            raise InternalInconsistency(
+                f"class indicator violates the fixed-point identity at {chain.states[bad[0]]}"
             )
-            if abs(g[i] - acc) > 1e-12:
-                raise InternalInconsistency(
-                    f"class indicator violates the fixed-point identity at {(y, x)}"
-                )
         vectors.append(g)
-    s = scipy.linalg.svd(chain.kernel - np.eye(chain.size), compute_uv=False)
-    fixed_dim = int(np.sum(s <= 1e-10 * chain.size))
+    fixed_dim = analysis.fixed_space_dim()
     if fixed_dim != len(vectors):
         raise InternalInconsistency(
             f"fixed space has dimension {fixed_dim}, expected {len(vectors)} class indicators"
@@ -222,12 +269,10 @@ def check_product_structure(sys: SkewSystem) -> bool:
     strictly irreducible driving kernel a False answer is impossible and
     raises TheoremViolation.
     """
-    chain = build_pair_chain(sys)
-    classes = chain.closed_classes()
-    product, sections = _classes_product_form(chain, classes, sys.spec.support_set)
-    if product:
-        sigma = family_invariant_partition(sys.family, sys.spec.support)
-        product = set(sections) == set(sigma.blocks)
+    sections = _product_sections(sys)
+    product = sections is not None and set(sections) == set(
+        family_invariant_partition(sys.family, sys.spec.support).blocks
+    )
     if not product and is_strictly_irreducible(sys.spec):
         raise TheoremViolation(
             "strictly irreducible driving kernel produced a non-product invariant "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,34 @@ def test_stationary_refuses_identity():
     sm = sk.StochasticMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(sk.MultipleStationary):
         sk.stationary_distribution(sm)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-11])
+def test_stationary_weak_coupling(eps):
+    # one closed class however weak the coupling above the ingestion cut
+    sm = sk.StochasticMatrix.from_rows([[1 - eps, eps], [eps, 1 - eps]])
+    m = sk.stationary_distribution(sm)
+    assert np.allclose(m.values, [0.5, 0.5], atol=1e-12)
+
+
+def test_stationary_refuses_two_closed_classes_with_transient_state():
+    sm = sk.StochasticMatrix.from_rows([[1.0, 0.0, 0.0], [0.3, 0.4, 0.3], [0.0, 0.0, 1.0]])
+    with pytest.raises(sk.MultipleStationary):
+        sk.stationary_distribution(sm)
+
+
+@given(st.integers(min_value=0, max_value=2000))
+@settings(max_examples=100, deadline=None)
+def test_stationary_unique_exactly_when_one_closed_class(idx):
+    kernel = sk.generate_spec(GEN, index=idx).kernel
+    s = scipy.linalg.svd(kernel.values.T - np.eye(kernel.n), compute_uv=False)
+    try:
+        m = sk.stationary_distribution(kernel)
+    except sk.MultipleStationary:
+        assert int(np.sum(s <= 1e-9)) > 1
+        return
+    assert int(np.sum(s <= 1e-9)) == 1
+    assert np.abs(m.values @ kernel.values - m.values).max() <= 1e-12
 
 
 def test_stationary_symmetric():

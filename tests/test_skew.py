@@ -5,15 +5,37 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+import stepskew.skew
 from conftest import ergodic_family, spec_of, system_of, union_closure
 
 GEN = sk.GeneratorConfig(
     seed=3333, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
 )
+
+
+def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
+    """The pair kernel by the original per-pair double loop."""
+    spec, family = sys_.spec, sys_.family
+    states = [(int(y), int(x)) for y in spec.support for x in family.space.support]
+    pos = {p: i for i, p in enumerate(states)}
+    kernel = np.zeros((len(states), len(states)))
+    kv = spec.kernel.values
+    for i, (y, x) in enumerate(states):
+        tx = int(family.maps[y].table[x])
+        for z in spec.kernel.row_support(y):
+            kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
+    return kernel
+
+
+def whole_matrix_fixed_dim(chain) -> int:
+    """Fixed-space dimension from one SVD of P - I over all pairs."""
+    s = scipy.linalg.svd(chain.kernel - np.eye(chain.size), compute_uv=False)
+    return int(np.sum(s <= 1e-10 * chain.size))
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +64,68 @@ def test_pair_chain_single_state_is_functional_graph():
     chain = sk.build_pair_chain(sys_)
     assert chain.size == 3
     assert ((chain.kernel > 0).sum(axis=1) == 1).all()
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_pair_chain_matches_double_loop_build(idx):
+    # generated kernels include zero-mass states; points get zero mass here,
+    # and the maps send zero-mass points anywhere
+    spec = sk.generate_spec(GEN, index=idx)
+    rng = np.random.default_rng(idx)
+    k = int(rng.integers(2, 6))
+    weights = rng.integers(0, 3, size=k).astype(float)
+    weights[int(rng.integers(0, k))] = 1.0
+    mu = weights / weights.sum()
+    tables = []
+    for _ in range(spec.n):
+        table = rng.integers(0, k, size=k)
+        for level in np.unique(mu[mu > 0]):
+            idx_level = np.flatnonzero(mu == level)
+            table[idx_level] = rng.permutation(idx_level)
+        tables.append(table)
+    sys_ = system_of(spec, tables, mu=mu)
+    chain = sk.build_pair_chain(sys_)
+    assert (chain.kernel == reference_pair_kernel(sys_)).all()
+
+
+def test_pair_chain_skips_zero_mass_states_and_points():
+    spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
+    sys_ = system_of(spec, [[1, 0, 1], [0, 1, 0]], mu=[0.5, 0.5, 0.0])
+    chain = sk.build_pair_chain(sys_)
+    assert chain.states == ((0, 0), (0, 1))
+    assert (chain.kernel == reference_pair_kernel(sys_)).all()
+    assert (chain.kernel == [[0.0, 1.0], [1.0, 0.0]]).all()
+
+
+def test_closed_classes_rejects_transient_pairs():
+    kernel = np.array([[0.0, 1.0], [0.0, 1.0]])
+    chain = sk.PairChain(((0, 0), (0, 1)), kernel, np.array([0.0, 1.0]))
+    with pytest.raises(sk.InternalInconsistency):
+        chain.closed_classes()
+
+
+def test_pair_chain_built_once_per_system(monkeypatch):
+    builds = []
+    real = stepskew.skew.build_pair_chain
+
+    def counting(sys_):
+        builds.append(sys_)
+        return real(sys_)
+
+    monkeypatch.setattr(stepskew.skew, "build_pair_chain", counting)
+    spec = spec_of([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    sys_ = system_of(spec, [[1, 2, 0, 3], [2, 0, 1, 3]])
+    f = np.array([1.0, 0.0, 0.0, 2.0])
+    sk.is_skew_ergodic(sys_)
+    sk.check_product_structure(sys_)
+    sk.invariant_function_basis(sys_)
+    for y in (0, 1):
+        for x in range(4):
+            sk.exact_birkhoff_limit(sys_, y, x, f)
+    sk.exact_cesaro_limit(sys_, f, 0)
+    sk.exact_cesaro_limit(sys_, f, 3)
+    assert builds == [sys_]
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -128,6 +212,29 @@ def test_basis_satisfies_fixed_point_identity(idx):
     chain = sk.build_pair_chain(sys_)
     for g in sk.invariant_function_basis(sys_):
         assert np.abs(chain.kernel @ g - g).max() <= 1e-12
+
+
+@given(st.integers(min_value=0, max_value=800))
+@settings(max_examples=60, deadline=None)
+def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
+    cfg = sk.GeneratorConfig(seed=3334, n_states=(2, 8), n_points=(2, 8), degenerate_bias=0.35)
+    spec = sk.generate_spec(cfg, index=idx)
+    space = sk.generate_space(cfg, index=idx)
+    family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+    analysis = sk.SkewSystem.create(spec, family).pair_analysis
+    assert analysis.chain.size <= 64
+    assert analysis.fixed_space_dim() == whole_matrix_fixed_dim(analysis.chain)
+    assert analysis.fixed_space_dim() == len(analysis.classes)
+
+
+def test_per_class_fixed_dim_planted_three_classes():
+    # point blocks {0,1,2}, {3,4} and {5} over a strictly irreducible kernel
+    spec = spec_of([[0.5, 0.5], [0.3, 0.7]], [0.375, 0.625])
+    sys_ = system_of(spec, [[1, 2, 0, 4, 3, 5], [2, 0, 1, 3, 4, 5]])
+    analysis = sys_.pair_analysis
+    assert sorted(len(b) for b in analysis.classes) == [2, 4, 6]
+    assert analysis.fixed_space_dim() == whole_matrix_fixed_dim(analysis.chain) == 3
+    assert len(sk.invariant_function_basis(sys_)) == 3
 
 
 # ---------------------------------------------------------------------------
