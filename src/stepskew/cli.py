@@ -205,7 +205,8 @@ def cmd_check(cfg: SystemConfig) -> str:
     spec = config_spec(cfg)
     labels = cfg.states
     dev = float(np.abs(spec.m.values @ spec.kernel.values - spec.m.values).max())
-    routes = strict_irreducibility_routes(spec)
+    sim, dual = sim_classes(spec), dual_sim_classes(spec)
+    routes = strict_irreducibility_routes(spec, sim, dual)
     lines = [
         f"STATES: {spec.n} support={_set_str(labels, spec.support)}",
         f"STATIONARY: {' '.join(repr(float(v)) for v in spec.m.values)}",
@@ -214,12 +215,10 @@ def cmd_check(cfg: SystemConfig) -> str:
         f"STRICT: {_bool(strict_verdict(routes))}",
         "STRICT_ROUTES: "
         + " ".join(f"{k}={_bool(v)}" for k, v in routes.items()),
-        "SIM_CLASSES: "
-        + " ".join(_set_str(labels, b) for b in sim_classes(spec).blocks),
-        "DUAL_SIM_CLASSES: "
-        + " ".join(_set_str(labels, b) for b in dual_sim_classes(spec).blocks),
+        "SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in sim.blocks),
+        "DUAL_SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in dual.blocks),
     ]
-    family = deterministic_sets(spec)
+    family = deterministic_sets(spec, sim)
     shown = family.sets[:64]
     tag = "complete" if family.complete else "blocks-only"
     suffix = " ..." if len(family.sets) > len(shown) else ""

@@ -2,9 +2,10 @@
 
 Every structural verdict in the package reduces to connectivity of some
 boolean adjacency matrix, so everything here is pattern-exact: no float
-comparisons. Strong connectivity delegates to scipy's csgraph; the
-union-find is hand-rolled so that paired characterizations do not share a
-code path.
+comparisons. Strong connectivity runs an iterative Tarjan in pure Python
+on graphs of at most SMALL_SCC_MAX_NODES nodes and delegates to scipy's
+csgraph above that; the union-find is hand-rolled so that paired
+characterizations do not share a code path with either.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
+
+# Largest graph whose SCCs are found by the pure-Python Tarjan; larger ones
+# go to scipy. Best of 5 on a 2-core x86 host, random digraphs with mean
+# out-degree 2.5 (sparse) or half the entries set (dense), Tarjan / scipy:
+# 6 nodes 15 / 160 us; 24 nodes 38 / 152 (sparse), 53 / 139 (dense);
+# 48 nodes 62 / 145, 147 / 163; 64 nodes 76 / 221, 279 / 275. Building
+# the csr_matrix costs over 100 us whatever the size, so the hand loop
+# wins until the edge count of a dense graph catches up with it.
+SMALL_SCC_MAX_NODES = 48
 
 
 def canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
@@ -101,6 +111,12 @@ def strongly_connected_components(adj: np.ndarray) -> tuple[frozenset[int], ...]
     n = adj.shape[0]
     if n == 0:
         return ()
+    if n <= SMALL_SCC_MAX_NODES:
+        return _tarjan_components(adj)
+    return _scipy_components(adj)
+
+
+def _scipy_components(adj: np.ndarray) -> tuple[frozenset[int], ...]:
     ncomp, labels = connected_components(
         csr_matrix(adj), directed=True, connection="strong"
     )
@@ -108,6 +124,54 @@ def strongly_connected_components(adj: np.ndarray) -> tuple[frozenset[int], ...]
     for v, lab in enumerate(labels):
         groups[lab].add(v)
     return canonical_blocks(groups)
+
+
+def _tarjan_components(adj: np.ndarray) -> tuple[frozenset[int], ...]:
+    """Tarjan's SCC algorithm (1972) with an explicit call stack.
+
+    A node's index is set to n once its component is emitted, so edges
+    into finished components never lower a low-link.
+    """
+    n = adj.shape[0]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(adj)
+    for v, w in zip(rows.tolist(), cols.tolist()):
+        succ[v].append(w)
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        call = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        while call:
+            v, edges = call[-1]
+            for w in edges:
+                if index[w] < 0:
+                    call.append((w, iter(succ[w])))
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v explored: v is finished
+                call.pop()
+                if call:
+                    u = call[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component: pop it
+                    k = stack.index(v)
+                    comps.append(stack[k:])
+                    for w in stack[k:]:
+                        index[w] = n
+                    del stack[k:]
+    return canonical_blocks(comps)
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:

@@ -380,13 +380,23 @@ def strict_verdict(verdicts: dict[str, bool]) -> bool:
     return verdicts["sim"]
 
 
-def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
-    """The four characterization verdicts, for reporting."""
+def strict_irreducibility_routes(
+    spec: MarkovSpec, sim: Partition | None = None, dual: Partition | None = None
+) -> dict[str, bool]:
+    """The four characterization verdicts, for reporting.
+
+    A caller that already holds the sim and dual classes passes them in,
+    and the two union-find routes are read off them.
+    """
+    if sim is None:
+        sim = sim_classes(spec)
+    if dual is None:
+        dual = dual_sim_classes(spec)
     _, pat = spec.support_pattern()
     p = pat.astype(np.int64)
     return {
-        "sim": sim_classes(spec).trivial,
-        "dual_sim": dual_sim_classes(spec).trivial,
+        "sim": sim.trivial,
+        "dual_sim": dual.trivial,
         "gram": is_strongly_connected((p.T @ p) > 0),
         "dual_gram": is_strongly_connected((p @ p.T) > 0),
     }
@@ -403,13 +413,16 @@ def deterministic_check(spec: MarkovSpec, b) -> bool:
     return True
 
 
-def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
+def deterministic_sets(
+    spec: MarkovSpec, sim: Partition | None = None
+) -> DeterministicSetFamily:
     """All deterministic sets, as the union lattice of the sim classes.
 
-    With more than MAX_ENUM_BLOCKS generating blocks only the blocks are
-    returned and the lattice is left implicit.
+    A caller that already holds the sim classes passes them in. With more
+    than MAX_ENUM_BLOCKS generating blocks only the blocks are returned and
+    the lattice is left implicit.
     """
-    blocks = sim_classes(spec).blocks
+    blocks = (sim_classes(spec) if sim is None else sim).blocks
     if len(blocks) > MAX_ENUM_BLOCKS:
         return DeterministicSetFamily(blocks, complete=False)
     sets: list[frozenset[int]] = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +214,38 @@ def test_main_simulate_writes_identical_csv(tmp_path):
     assert main(flags + ["--out", str(out1)]) == 0
     assert main(flags + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# work done per check, and pinned simulate traces
+# ---------------------------------------------------------------------------
+def test_check_computes_each_sim_partition_once(monkeypatch):
+    import sys
+
+    import stepskew.kernels as kernels
+
+    calls = {"sim_classes": 0, "dual_sim_classes": 0}
+    for name in calls:
+        original = getattr(kernels, name)
+
+        def counted(spec, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(spec)
+
+        # every stepskew module that bound the name at import time
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("stepskew") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    cmd_check(gallery_config("bufetov_period2"))
+    assert calls == {"sim_classes": 1, "dual_sim_classes": 1}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_simulate_matches_golden_trace(name):
+    # Regenerate only on a deliberate change of the sampler or the DP:
+    # cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
+    csv = cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
+    assert csv.encode() == (GOLDEN / f"simulate_{name}.csv").read_bytes()

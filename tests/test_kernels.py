@@ -435,3 +435,12 @@ def test_deterministic_sets_blocks_only_when_capped():
     fam = sk.deterministic_sets(spec)
     assert not fam.complete
     assert len(fam.sets) == n
+
+
+@given(st.integers(min_value=0, max_value=2000))
+@settings(max_examples=60, deadline=None)
+def test_routes_and_lattice_from_given_partitions(idx):
+    spec = sk.generate_spec(GEN, index=idx)
+    sim, dual = sk.sim_classes(spec), sk.dual_sim_classes(spec)
+    assert sk.strict_irreducibility_routes(spec, sim, dual) == sk.strict_irreducibility_routes(spec)
+    assert sk.deterministic_sets(spec, sim) == sk.deterministic_sets(spec)
