@@ -22,7 +22,6 @@ from .dynamics import (
     FiniteMeasureSpace,
     TransformationFamily,
     family_invariant_partition,
-    is_family_ergodic,
 )
 from .errors import NotApplicable, ParseError, ValidationError
 from .kernels import (
@@ -30,13 +29,10 @@ from .kernels import (
     ProbVector,
     StochasticMatrix,
     deterministic_sets,
-    dual_sim_classes,
     is_irreducible,
+    is_strictly_irreducible,
     reverse_kernel,
-    sim_classes,
     stationary_distribution,
-    strict_irreducibility_routes,
-    strict_verdict,
     validate_spec,
 )
 from .skew import (
@@ -205,20 +201,19 @@ def cmd_check(cfg: SystemConfig) -> str:
     spec = config_spec(cfg)
     labels = cfg.states
     dev = float(np.abs(spec.m.values @ spec.kernel.values - spec.m.values).max())
-    sim, dual = sim_classes(spec), dual_sim_classes(spec)
-    routes = strict_irreducibility_routes(spec, sim, dual)
     lines = [
         f"STATES: {spec.n} support={_set_str(labels, spec.support)}",
         f"STATIONARY: {' '.join(repr(float(v)) for v in spec.m.values)}",
         f"INVARIANT: ok max_deviation={dev:.3e}",
         f"IRREDUCIBLE: {_bool(is_irreducible(spec))}",
-        f"STRICT: {_bool(strict_verdict(routes))}",
+        f"STRICT: {_bool(is_strictly_irreducible(spec))}",
         "STRICT_ROUTES: "
-        + " ".join(f"{k}={_bool(v)}" for k, v in routes.items()),
-        "SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in sim.blocks),
-        "DUAL_SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in dual.blocks),
+        + " ".join(f"{k}={_bool(v)}" for k, v in spec.strict_routes.items()),
+        "SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in spec.sim.blocks),
+        "DUAL_SIM_CLASSES: "
+        + " ".join(_set_str(labels, b) for b in spec.dual_sim.blocks),
     ]
-    family = deterministic_sets(spec, sim)
+    family = deterministic_sets(spec)
     shown = family.sets[:64]
     tag = "complete" if family.complete else "blocks-only"
     suffix = " ..." if len(family.sets) > len(shown) else ""
@@ -247,7 +242,7 @@ def cmd_skew(cfg: SystemConfig) -> str:
     sigma = family_invariant_partition(sys_.family, active)
     report = is_skew_ergodic(sys_)
     lines = [
-        f"FAMILY_ERGODIC: {_bool(is_family_ergodic(sys_.family, active))}",
+        f"FAMILY_ERGODIC: {_bool(sigma.trivial)}",
         "SIGMA_PARTITION: "
         + " ".join(_set_str(cfg.points, b) for b in sigma.blocks),
         f"SKEW_ERGODIC: {_bool(report.ergodic)}",
@@ -349,6 +344,15 @@ def cmd_simulate(
     return trace.to_csv()
 
 
+def _parse_horizons(text: str) -> list[int]:
+    try:
+        return [int(h) for h in text.split(",") if h]
+    except ValueError:
+        raise ValidationError(
+            f"--horizons must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stepskew",
@@ -407,11 +411,10 @@ def main(argv=None) -> int:
         elif args.command == "skew":
             _sys.stdout.write(cmd_skew(cfg))
         elif args.command == "simulate":
-            horizons = [int(h) for h in str(args.horizons).split(",") if h]
             csv = cmd_simulate(
                 cfg,
                 seed=args.seed,
-                horizons=horizons,
+                horizons=_parse_horizons(args.horizons),
                 trials=args.trials,
                 f_name=args.f_name,
                 x_label=args.x_label,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import StartOffSupport, ValidationError
+from .errors import DimensionMismatch, StartOffSupport, ValidationError
 from .kernels import MarkovSpec
 from .skew import SkewSystem
 
@@ -82,13 +83,22 @@ def sample_path(sampler: PathSampler, length: int) -> np.ndarray:
     return path
 
 
+def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
+    """f as a float vector over the fiber points, with x on their support."""
+    fv = np.asarray(f, dtype=float)
+    k = sys.family.space.k
+    if fv.shape != (k,):
+        raise DimensionMismatch(f"function has shape {fv.shape}, expected ({k},)")
+    if x not in sys.family.space.support_set:
+        raise StartOffSupport(f"start point {x} is a zero-mass point")
+    return fv
+
+
 def birkhoff_average(
     sys: SkewSystem, path: np.ndarray, f, x: int, n: int
 ) -> float:
     """Time average of f along the orbit of x driven by the first n path states."""
-    fv = np.asarray(f, dtype=float)
-    if x not in sys.family.space.support_set:
-        raise StartOffSupport(f"point {x} has zero mass")
+    fv = _checked_f_at(sys, f, x)
     if not 1 <= n <= len(path):
         raise ValidationError(f"need 1 <= n <= path length, got n={n}")
     tables = [list(m.table) for m in sys.family.maps]
@@ -109,38 +119,32 @@ def exact_birkhoff_limit(sys: SkewSystem, y: int, x: int, f) -> float:
     pair; for a strictly irreducible driving kernel this is the conditional
     expectation of f on the invariant partition, independent of y.
     """
-    return sys.pair_analysis.class_average(y, x, np.asarray(f, dtype=float))
+    return sys.pair_analysis.class_average(y, x, _checked_f_at(sys, f, x))
 
 
 def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
     """Average of f over the n-th random iterate of x, by exact dynamic
     programming on (state, point) mass."""
-    fv = np.asarray(f, dtype=float)
-    if x not in sys.family.space.support_set:
-        raise StartOffSupport(f"point {x} has zero mass")
+    fv = _checked_f_at(sys, f, x)
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    p = _start_mass(sys, x)
-    tables = sys.family.table_matrix()
+    return float(next(islice(_point_marginals(sys, x), n, None)) @ fv)
+
+
+def _point_marginals(sys: SkewSystem, x: int):
+    """Fiber marginals of the (state, point) mass after j = 0, 1, 2, ...
+    steps, started from m on the states and all mass at x."""
     kv = sys.spec.kernel.values
-    for _ in range(n):
-        p = _dp_step(p, kv, tables, sys.spec.support)
-    return float(p.sum(axis=0) @ fv)
-
-
-def _start_mass(sys: SkewSystem, x: int) -> np.ndarray:
-    p = np.zeros((sys.spec.n, sys.family.space.k))
+    tables = sys.family.table_matrix()
+    rows = np.arange(sys.spec.n)[:, None]
+    p = np.zeros(tables.shape)
     p[:, int(x)] = sys.spec.m.values
-    return p
-
-
-def _dp_step(
-    p: np.ndarray, kv: np.ndarray, tables: np.ndarray, supp: np.ndarray
-) -> np.ndarray:
-    moved = np.zeros_like(p)
-    for y in supp:
-        np.add.at(moved[int(y)], tables[int(y)], p[int(y)])
-    return kv.T @ moved
+    while True:
+        yield p.sum(axis=0)
+        # Rows off the support of m carry no mass, so they add exact zeros.
+        moved = np.zeros_like(p)
+        np.add.at(moved, (rows, tables), p)
+        p = kv.T @ moved
 
 
 def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
@@ -150,9 +154,7 @@ def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
     (y, x) and equidistributes to the normalized product measure there, so
     the limit is the m-mixture of class averages over the classes met by x.
     """
-    fv = np.asarray(f, dtype=float)
-    if x not in sys.family.space.support_set:
-        raise StartOffSupport(f"point {x} has zero mass")
+    fv = _checked_f_at(sys, f, x)
     mv = sys.spec.m.values
     total = 0.0
     for y in sys.spec.support:
@@ -165,20 +167,14 @@ def cesaro_partial_averages(
 ) -> dict[int, float]:
     """Iterative partial Cesaro means (1/n) sum_{j<n} M_j f(x) at each horizon."""
     hs = _checked_horizons(horizons)
-    fv = np.asarray(f, dtype=float)
-    if x not in sys.family.space.support_set:
-        raise StartOffSupport(f"point {x} has zero mass")
-    tables = sys.family.table_matrix()
-    kv = sys.spec.kernel.values
-    p = _start_mass(sys, x)
+    fv = _checked_f_at(sys, f, x)
     acc = 0.0
     out: dict[int, float] = {}
     want = set(hs)
-    for j in range(hs[-1]):
-        acc += float(p.sum(axis=0) @ fv)
+    for j, marginal in zip(range(hs[-1]), _point_marginals(sys, x)):
+        acc += float(marginal @ fv)
         if j + 1 in want:
             out[j + 1] = acc / (j + 1)
-        p = _dp_step(p, kv, tables, sys.spec.support)
     return out
 
 
@@ -206,6 +202,8 @@ def orbit_occupancy(
     any f follow as counts @ f / n.
     """
     hs = _checked_horizons(checkpoints)
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     spec, family = sys.spec, sys.family
     supp_set = family.space.support_set
     x_arr = np.broadcast_to(np.asarray(x0, dtype=np.int64), (trials,)).copy()
@@ -312,7 +310,7 @@ def convergence_report(
     routes against their exact references.
     """
     hs = _checked_horizons(horizons)
-    fv = np.asarray(f, dtype=float)
+    fv = _checked_f_at(sys, f, x)
     first_states, occupancy = orbit_occupancy(sys, seed, trials, hs, x, start)
     cesaro = cesaro_partial_averages(sys, fv, x, hs)
     y0 = int(first_states[0])

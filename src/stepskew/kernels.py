@@ -22,6 +22,8 @@ from the support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -134,7 +136,9 @@ class MarkovSpec:
     """A kernel paired with an invariant probability vector.
 
     Constructed through validate_spec, which enforces stationarity and
-    support closure; everything downstream may assume both.
+    support closure; everything downstream may assume both. The sim
+    partitions and the four strict routes are computed once, on first use,
+    and shared by every caller holding the spec.
     """
 
     kernel: StochasticMatrix
@@ -156,6 +160,21 @@ class MarkovSpec:
         """(active state indices, boolean pattern restricted to them)."""
         supp = self.support
         return supp, self.kernel.pattern[np.ix_(supp, supp)]
+
+    @cached_property
+    def sim(self) -> Partition:
+        """The common-predecessor classes (sim_classes)."""
+        return sim_classes(self)
+
+    @cached_property
+    def dual_sim(self) -> Partition:
+        """The common-successor classes (dual_sim_classes)."""
+        return dual_sim_classes(self)
+
+    @cached_property
+    def strict_routes(self) -> MappingProxyType:
+        """The four strict-irreducibility verdicts, read-only."""
+        return MappingProxyType(strict_irreducibility_routes(self))
 
 
 @dataclass(frozen=True)
@@ -331,72 +350,54 @@ def reverse_kernel(spec: MarkovSpec) -> StochasticMatrix:
     return rev
 
 
+def _linked_classes(spec: MarkovSpec, pat: np.ndarray) -> Partition:
+    """Support states joined whenever one support row of pat holds both."""
+    supp = spec.support
+    dsu = DisjointSets(len(supp))
+    rows, cols = (a.tolist() for a in np.nonzero(pat[np.ix_(supp, supp)]))
+    for k in range(1, len(rows)):
+        if rows[k] == rows[k - 1]:  # neighbours within one row
+            dsu.union(cols[k - 1], cols[k])
+    blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]
+    return partition_from_blocks(spec.support_set, blocks)
+
+
 def sim_classes(spec: MarkovSpec) -> Partition:
     """Common-predecessor classes on the support.
 
     Two states are related when some active row gives both positive mass;
     the blocks are the connected components of that undirected graph.
     """
-    supp = spec.support
-    local = {int(s): k for k, s in enumerate(supp)}
-    dsu = DisjointSets(len(supp))
-    for y in supp:
-        row = [local[int(z)] for z in spec.kernel.row_support(int(y))]
-        for a, b in zip(row, row[1:]):
-            dsu.union(a, b)
-    blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]
-    return partition_from_blocks(spec.support_set, blocks)
+    return _linked_classes(spec, spec.kernel.pattern)
 
 
 def dual_sim_classes(spec: MarkovSpec) -> Partition:
     """Common-successor classes on the support (the dual relation)."""
-    supp = spec.support
-    local = {int(s): k for k, s in enumerate(supp)}
-    pat = spec.kernel.pattern
-    dsu = DisjointSets(len(supp))
-    for z in supp:
-        col = [local[int(y)] for y in supp if pat[int(y), int(z)]]
-        for a, b in zip(col, col[1:]):
-            dsu.union(a, b)
-    blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]
-    return partition_from_blocks(spec.support_set, blocks)
+    return _linked_classes(spec, spec.kernel.pattern.T)
 
 
 def is_strictly_irreducible(spec: MarkovSpec) -> bool:
     """Whether every deterministic set has trivial mass.
 
-    Computes all four equivalent characterizations and insists they agree;
+    Reads all four equivalent characterizations and insists they agree;
     a disagreement is an implementation bug, never valid input.
     """
-    return strict_verdict(strict_irreducibility_routes(spec))
-
-
-def strict_verdict(verdicts: dict[str, bool]) -> bool:
-    """The common verdict of the four routes; raises if they disagree."""
+    verdicts = spec.strict_routes
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
-            f"strict-irreducibility characterizations disagree: {verdicts}"
+            f"strict-irreducibility characterizations disagree: {dict(verdicts)}"
         )
     return verdicts["sim"]
 
 
-def strict_irreducibility_routes(
-    spec: MarkovSpec, sim: Partition | None = None, dual: Partition | None = None
-) -> dict[str, bool]:
-    """The four characterization verdicts, for reporting.
-
-    A caller that already holds the sim and dual classes passes them in,
-    and the two union-find routes are read off them.
-    """
-    if sim is None:
-        sim = sim_classes(spec)
-    if dual is None:
-        dual = dual_sim_classes(spec)
+def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
+    """The four characterization verdicts; the union-find routes are read
+    off the spec's sim and dual sim classes."""
     _, pat = spec.support_pattern()
     p = pat.astype(np.int64)
     return {
-        "sim": sim.trivial,
-        "dual_sim": dual.trivial,
+        "sim": spec.sim.trivial,
+        "dual_sim": spec.dual_sim.trivial,
         "gram": is_strongly_connected((p.T @ p) > 0),
         "dual_gram": is_strongly_connected((p @ p.T) > 0),
     }
@@ -413,16 +414,13 @@ def deterministic_check(spec: MarkovSpec, b) -> bool:
     return True
 
 
-def deterministic_sets(
-    spec: MarkovSpec, sim: Partition | None = None
-) -> DeterministicSetFamily:
+def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
     """All deterministic sets, as the union lattice of the sim classes.
 
-    A caller that already holds the sim classes passes them in. With more
-    than MAX_ENUM_BLOCKS generating blocks only the blocks are returned and
-    the lattice is left implicit.
+    With more than MAX_ENUM_BLOCKS generating blocks only the blocks are
+    returned and the lattice is left implicit.
     """
-    blocks = (sim_classes(spec) if sim is None else sim).blocks
+    blocks = spec.sim.blocks
     if len(blocks) > MAX_ENUM_BLOCKS:
         return DeterministicSetFamily(blocks, complete=False)
     sets: list[frozenset[int]] = []

@@ -46,7 +46,6 @@ from .kernels import (
     is_irreducible,
     is_strictly_irreducible,
     reach_set,
-    sim_classes,
 )
 
 
@@ -69,6 +68,20 @@ class SkewSystem:
     def pair_analysis(self) -> "PairAnalysis":
         """The pair chain and its closed classes, built once on first use."""
         return PairAnalysis.of(build_pair_chain(self))
+
+    @cached_property
+    def product_sections(self) -> tuple[frozenset[int], ...] | None:
+        """Each closed class's point section if every class is (all active
+        states) x (a point section), else None."""
+        analysis, sections = self.pair_analysis, []
+        for block in analysis.classes:
+            section = frozenset(analysis.chain.states[i][1] for i in block)
+            # The pairs lie in (active states) x section and are distinct,
+            # so they fill it exactly when the counts match.
+            if len(block) != len(self.spec.support) * len(section):
+                return None
+            sections.append(section)
+        return tuple(sections)
 
 
 @dataclass(frozen=True)
@@ -195,25 +208,6 @@ class ErgodicityReport:
     product_structured: bool
 
 
-def _product_sections(sys: SkewSystem) -> list[frozenset[int]] | None:
-    """Each class's point section if every class is (all active states) x
-    (a point section), else None."""
-    analysis = sys.pair_analysis
-    sections: list[frozenset[int]] = []
-    for block in analysis.classes:
-        by_state: dict[int, set[int]] = {}
-        for i in block:
-            y, x = analysis.chain.states[i]
-            by_state.setdefault(y, set()).add(x)
-        first = next(iter(by_state.values()))
-        if set(by_state) != set(sys.spec.support_set) or any(
-            s != first for s in by_state.values()
-        ):
-            return None
-        sections.append(frozenset(first))
-    return sections
-
-
 def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
     """Decide ergodicity of the skew product from the pair chain's classes."""
     analysis = sys.pair_analysis
@@ -223,7 +217,7 @@ def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
         pair_states=chain.states,
         classes=partition_from_blocks(range(chain.size), classes),
         class_masses=analysis.masses,
-        product_structured=_product_sections(sys) is not None,
+        product_structured=sys.product_sections is not None,
     )
 
 
@@ -269,7 +263,7 @@ def check_product_structure(sys: SkewSystem) -> bool:
     strictly irreducible driving kernel a False answer is impossible and
     raises TheoremViolation.
     """
-    sections = _product_sections(sys)
+    sections = sys.product_sections
     product = sections is not None and set(sections) == set(
         family_invariant_partition(sys.family, sys.spec.support).blocks
     )
@@ -306,7 +300,7 @@ def build_counterexample_family(spec: MarkovSpec) -> SkewSystem:
         raise NotApplicable("driving kernel is not irreducible")
     if is_strictly_irreducible(spec):
         raise NotApplicable("driving kernel is strictly irreducible")
-    b = sim_classes(spec).blocks[0]
+    b = spec.sim.blocks[0]
     swap_states = set()
     for y in spec.support:
         row = set(int(z) for z in spec.kernel.row_support(int(y)))
@@ -322,7 +316,7 @@ def build_counterexample_family(spec: MarkovSpec) -> SkewSystem:
 
 def counterexample_invariant_set(spec: MarkovSpec) -> frozenset[tuple[int, int]]:
     """The invariant pair set witnessing non-ergodicity for the family above."""
-    b = sim_classes(spec).blocks[0]
+    b = spec.sim.blocks[0]
     return frozenset(
         (int(y), 0) if int(y) in b else (int(y), 1) for y in spec.support
     )

@@ -205,6 +205,25 @@ def test_simulate_off_support_start_fails_cleanly(tmp_path, capsys):
     assert "zero-mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--trials", "0"], "trials"),
+        (["--trials", "-3"], "trials"),
+        (["--horizons", "10,abc"], "--horizons"),
+        (["--horizons", "100,10"], "horizons"),
+    ],
+)
+def test_simulate_bad_flags_fail_cleanly(tmp_path, capsys, flags, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(render_config(gallery_config("bufetov_period2")))
+    code = main(["simulate", str(path), "--horizons", "10"] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
+
+
 def test_main_simulate_writes_identical_csv(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     assert main(["gallery", "bernoulli_rotation", "--emit", str(cfg_path)]) == 0
@@ -217,27 +236,50 @@ def test_main_simulate_writes_identical_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# work done per check, and pinned simulate traces
+# work done per command, and pinned simulate traces
 # ---------------------------------------------------------------------------
-def test_check_computes_each_sim_partition_once(monkeypatch):
+# The most calls one report may make; sim partitions, strict routes and
+# product sections are cached on the spec and the system.
+CALL_LIMITS = {
+    "sim_classes": 1,
+    "dual_sim_classes": 1,
+    "strict_irreducibility_routes": 1,
+    "family_invariant_partition": 2,
+}
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+@pytest.mark.parametrize("command", ["cmd_check", "cmd_skew"])
+def test_check_computes_each_sim_partition_once(monkeypatch, command, name):
     import sys
 
-    import stepskew.kernels as kernels
+    import stepskew.skew as skew
 
-    calls = {"sim_classes": 0, "dual_sim_classes": 0}
-    for name in calls:
-        original = getattr(kernels, name)
+    calls = dict.fromkeys(CALL_LIMITS, 0)
+    for fname in calls:
+        original = getattr(sk, fname)
 
-        def counted(spec, _name=name, _original=original):
+        def counted(*args, _name=fname, _original=original):
             calls[_name] += 1
-            return _original(spec)
+            return _original(*args)
 
         # every stepskew module that bound the name at import time
         for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("stepskew") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    cmd_check(gallery_config("bufetov_period2"))
-    assert calls == {"sim_classes": 1, "dual_sim_classes": 1}
+            if mod_name.startswith("stepskew") and getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counted)
+    sections = skew.SkewSystem.__dict__["product_sections"]
+    owners = []
+
+    def counted_sections(system, _original=sections.func):
+        owners.append(system)
+        return _original(system)
+
+    monkeypatch.setattr(sections, "func", counted_sections)
+    globals()[command](gallery_config(name))
+    assert all(calls[f] <= CALL_LIMITS[f] for f in calls), calls
+    if command == "cmd_check":
+        assert calls["sim_classes"] == calls["dual_sim_classes"] == 1
+    assert len({id(system) for system in owners}) == len(owners)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -316,3 +316,41 @@ def test_mc_mean_approaches_start_averaged_limit(bufetov_system):
     )
     mc_mean = float((occ[2000] @ f).mean()) / 2000
     assert abs(mc_mean - expected) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by the entry points
+# ---------------------------------------------------------------------------
+F_ENTRY_POINTS = {
+    "birkhoff_average": lambda s, f, x: sk.birkhoff_average(
+        s, sk.sample_path(sk.PathSampler(s.spec, seed=1), 4), f, x, 4
+    ),
+    "exact_birkhoff_limit": lambda s, f, x: sk.exact_birkhoff_limit(s, 0, x, f),
+    "expectation_operator": lambda s, f, x: sk.expectation_operator(s, f, x, 3),
+    "exact_cesaro_limit": lambda s, f, x: sk.exact_cesaro_limit(s, f, x),
+    "cesaro_partial_averages": lambda s, f, x: sk.cesaro_partial_averages(s, f, x, [5]),
+    "convergence_report": lambda s, f, x: sk.convergence_report(
+        s, f, x, seed=1, horizons=[5], trials=2
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(F_ENTRY_POINTS))
+@pytest.mark.parametrize("f", [[1.0, 0.0], [1.0, 0.0, 0.0, 5.0], [[1.0, 0.0, 0.0]]])
+def test_f_of_wrong_shape_is_refused(bufetov_system, entry, f):
+    with pytest.raises(sk.DimensionMismatch):
+        F_ENTRY_POINTS[entry](bufetov_system, f, 0)
+
+
+@pytest.mark.parametrize("entry", sorted(F_ENTRY_POINTS))
+def test_start_off_support_is_refused(entry):
+    spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
+    sys_ = system_of(spec, [[1, 0, 2], [1, 0, 2]], mu=[0.5, 0.5, 0.0])
+    with pytest.raises(sk.StartOffSupport):
+        F_ENTRY_POINTS[entry](sys_, np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_occupancy_needs_a_trial(rotation_system, trials):
+    with pytest.raises(sk.ValidationError, match="trials"):
+        sk.orbit_occupancy(rotation_system, seed=1, trials=trials, checkpoints=[5], x0=0)

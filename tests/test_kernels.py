@@ -337,6 +337,25 @@ def test_four_routes_agree(idx):
     assert sk.is_strictly_irreducible(spec) == routes["sim"]
 
 
+def test_spec_caches_its_sim_partitions_and_routes(period2_spec):
+    spec = spec_of(period2_spec.kernel.values, period2_spec.m.values)
+    assert spec.sim is spec.sim and spec.sim == sk.sim_classes(spec)
+    assert spec.dual_sim is spec.dual_sim and spec.dual_sim == sk.dual_sim_classes(spec)
+    assert spec.strict_routes is spec.strict_routes
+    assert spec.strict_routes == sk.strict_irreducibility_routes(spec)
+    with pytest.raises(TypeError):
+        spec.strict_routes["gram"] = True
+
+
+def test_disagreeing_routes_raise(period2_spec):
+    spec = spec_of(period2_spec.kernel.values, period2_spec.m.values)
+    spec.__dict__["strict_routes"] = {
+        "sim": False, "dual_sim": False, "gram": True, "dual_gram": False
+    }
+    with pytest.raises(sk.InternalInconsistency, match="characterizations disagree"):
+        sk.is_strictly_irreducible(spec)
+
+
 @given(st.integers(min_value=0, max_value=2000))
 @settings(max_examples=100, deadline=None)
 def test_strict_implies_irreducible(idx):
@@ -435,12 +454,3 @@ def test_deterministic_sets_blocks_only_when_capped():
     fam = sk.deterministic_sets(spec)
     assert not fam.complete
     assert len(fam.sets) == n
-
-
-@given(st.integers(min_value=0, max_value=2000))
-@settings(max_examples=60, deadline=None)
-def test_routes_and_lattice_from_given_partitions(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    sim, dual = sk.sim_classes(spec), sk.dual_sim_classes(spec)
-    assert sk.strict_irreducibility_routes(spec, sim, dual) == sk.strict_irreducibility_routes(spec)
-    assert sk.deterministic_sets(spec, sim) == sk.deterministic_sets(spec)
