@@ -18,7 +18,6 @@ from .dynamics import (
 )
 from .ergodic import (
     ConvergenceTrace,
-    PathSampler,
     TraceRow,
     birkhoff_average,
     cesaro_partial_averages,

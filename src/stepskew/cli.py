@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ergodic
-from .dynamics import (
-    FiniteMeasureSpace,
-    TransformationFamily,
-    family_invariant_partition,
-)
+from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import NotApplicable, ParseError, ValidationError
 from .kernels import (
     MarkovSpec,
@@ -237,9 +233,7 @@ def _pair_str(cfg: SystemConfig, pair) -> str:
 def cmd_skew(cfg: SystemConfig) -> str:
     """Skew-product report: family invariants, classes, product structure."""
     sys_ = config_system(cfg)
-    spec = sys_.spec
-    active = spec.support
-    sigma = family_invariant_partition(sys_.family, active)
+    sigma = sys_.family_partition
     report = is_skew_ergodic(sys_)
     lines = [
         f"FAMILY_ERGODIC: {_bool(sigma.trivial)}",
@@ -252,7 +246,7 @@ def cmd_skew(cfg: SystemConfig) -> str:
         members = ",".join(_pair_str(cfg, report.pair_states[i]) for i in sorted(block))
         lines.append(f"CLASS: {{{members}}} mass={float(mass)!r}")
     lines.append(f"PRODUCT_STRUCTURE: {_bool(check_product_structure(sys_))}")
-    lines.extend(_counterexample_lines(cfg, spec))
+    lines.extend(_counterexample_lines(cfg, sys_.spec))
     return "\n".join(lines) + "\n"
 
 

@@ -33,54 +33,53 @@ def substream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _row_cumulatives(matrix: np.ndarray) -> np.ndarray:
-    cums = np.cumsum(matrix, axis=1)
-    cums[:, -1] = 1.0  # guard float drift at the top end
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the top end pinned to 1."""
+    cums = np.cumsum(weights, axis=-1)
+    cums[..., -1] = 1.0  # guard float drift at the top end
     return cums
 
 
-def _draw(cum: np.ndarray, u: float) -> int:
-    return int((cum <= u).sum())
+_CHUNK = 4096  # uniforms drawn per stream at a time
 
 
-@dataclass(frozen=True)
-class PathSampler:
-    """Reproducible sampler of driving-state paths.
+def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, steps: int):
+    """Driving states at steps 0 .. steps-1, one (len(streams),) array per step.
 
-    start is None for a stationary initial state or a fixed state index;
-    stream selects the trial substream (identical seed, start, and stream
-    reproduce the identical path).
+    Each stream spends its uniforms in a pinned order: one for the initial
+    state from m (none when start fixes it), then one per step for the row
+    draw, taken in chunks of at most _CHUNK and never more than the steps
+    still to go. Stream s yields the same states whatever the other streams.
     """
+    if start is not None:
+        if not isinstance(start, (int, np.integer)) or not 0 <= start < spec.n:
+            raise ValidationError(f"start state {start!r} is not a state index 0..{spec.n - 1}")
+        if spec.m.values[start] == 0:
+            raise StartOffSupport(f"start state {start} has zero stationary mass")
+    gens = [substream(seed, s) for s in streams]
+    if start is None:
+        m_cum = _cumulative(spec.m.values)
+        states = np.array([(m_cum <= g.random()).sum() for g in gens], dtype=np.int64)
+    else:
+        states = np.full(len(gens), start, dtype=np.int64)
+    cums = _cumulative(spec.kernel.values)
+    for done in range(0, steps, _CHUNK):
+        width = min(_CHUNK, steps - done)
+        for u in np.stack([g.random(width) for g in gens], axis=1):
+            yield states
+            states = (cums[states] <= u[:, None]).sum(axis=1)
 
-    spec: MarkovSpec
-    seed: int
-    start: int | None = None
-    stream: int = 0
 
-
-def sample_path(sampler: PathSampler, length: int) -> np.ndarray:
-    """Sample a driving path: initial state from m (or fixed), then row draws."""
+def sample_path(
+    spec: MarkovSpec, seed: int, length: int, start: int | None = None, stream: int = 0
+) -> np.ndarray:
+    """Driving path of the given length on one substream: the initial state
+    from m (or fixed by start), then one row draw per step. Identical seed,
+    start and stream reproduce the identical path."""
     if length < 0:
         raise ValidationError("path length must be nonnegative")
-    path = np.empty(length, dtype=np.int64)
-    if length == 0:
-        return path
-    g = substream(sampler.seed, sampler.stream)
-    spec = sampler.spec
-    cums = _row_cumulatives(spec.kernel.values)
-    if sampler.start is None:
-        m_cum = np.cumsum(spec.m.values)
-        m_cum[-1] = 1.0
-        state = _draw(m_cum, g.random())
-    else:
-        if not 0 <= sampler.start < spec.n:
-            raise ValidationError(f"start state {sampler.start} out of range")
-        state = int(sampler.start)
-    path[0] = state
-    for i in range(1, length):
-        state = _draw(cums[state], g.random())
-        path[i] = state
-    return path
+    steps = _driving_states(spec, seed, [stream], start, length)
+    return np.array([states[0] for states in steps], dtype=np.int64)
 
 
 def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
@@ -104,6 +103,9 @@ def birkhoff_average(
     tables = [list(m.table) for m in sys.family.maps]
     fl = list(fv)
     pl = [int(s) for s in path[:n]]
+    bad = [s for s in pl if not 0 <= s < len(tables)]
+    if bad:
+        raise ValidationError(f"path state {bad[0]} is outside 0..{len(tables) - 1}")
     pos = int(x)
     total = 0.0
     for state in pl:
@@ -204,41 +206,29 @@ def orbit_occupancy(
     hs = _checked_horizons(checkpoints)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    spec, family = sys.spec, sys.family
-    supp_set = family.space.support_set
-    x_arr = np.broadcast_to(np.asarray(x0, dtype=np.int64), (trials,)).copy()
-    if any(int(x) not in supp_set for x in x_arr):
+    family = sys.family
+    x_arr = np.asarray(x0, dtype=np.int64)
+    if x_arr.shape not in ((), (1,), (trials,)):
+        raise DimensionMismatch(
+            f"x0 has shape {x_arr.shape}; expected one start point or one per trial "
+            f"(trials={trials})"
+        )
+    x_arr = np.broadcast_to(x_arr, (trials,)).copy()
+    if any(int(x) not in family.space.support_set for x in x_arr):
         raise StartOffSupport("a trial starts at a zero-mass point")
-    gens = [substream(seed, t) for t in range(trials)]
-    cums = _row_cumulatives(spec.kernel.values)
     tables = family.table_matrix()
-    if start is None:
-        m_cum = np.cumsum(spec.m.values)
-        m_cum[-1] = 1.0
-        states = np.array([_draw(m_cum, g.random()) for g in gens], dtype=np.int64)
-    else:
-        if not 0 <= start < spec.n:
-            raise ValidationError(f"start state {start} out of range")
-        states = np.full(trials, start, dtype=np.int64)
-    first_states = states.copy()
     counts = np.zeros((trials, family.space.k), dtype=np.int64)
     results: dict[int, np.ndarray] = {}
     want = set(hs)
     rows = np.arange(trials)
-    chunk = 4096
-    step = 0
-    while step < hs[-1]:
-        width = min(chunk, hs[-1] - step)
-        # one uniform per trial per step, drawn from the trial's own stream
-        # in the same order sample_path consumes it
-        u = np.stack([g.random(width) for g in gens])
-        for c in range(width):
-            np.add.at(counts, (rows, x_arr), 1)
-            x_arr = tables[states, x_arr]
-            states = (cums[states] <= u[:, c, None]).sum(axis=1)
-            step += 1
-            if step in want:
-                results[step] = counts.copy()
+    walk = _driving_states(sys.spec, seed, range(trials), start, hs[-1])
+    for step, states in enumerate(walk, 1):
+        if step == 1:
+            first_states = states
+        np.add.at(counts, (rows, x_arr), 1)
+        x_arr = tables[states, x_arr]
+        if step in want:
+            results[step] = counts.copy()
     return first_states, results
 
 

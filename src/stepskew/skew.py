@@ -70,6 +70,11 @@ class SkewSystem:
         return PairAnalysis.of(build_pair_chain(self))
 
     @cached_property
+    def family_partition(self) -> Partition:
+        """The finest partition of the fiber invariant under every active map."""
+        return family_invariant_partition(self.family, self.spec.support)
+
+    @cached_property
     def product_sections(self) -> tuple[frozenset[int], ...] | None:
         """Each closed class's point section if every class is (all active
         states) x (a point section), else None."""
@@ -264,9 +269,7 @@ def check_product_structure(sys: SkewSystem) -> bool:
     raises TheoremViolation.
     """
     sections = sys.product_sections
-    product = sections is not None and set(sections) == set(
-        family_invariant_partition(sys.family, sys.spec.support).blocks
-    )
+    product = sections is not None and set(sections) == set(sys.family_partition.blocks)
     if not product and is_strictly_irreducible(sys.spec):
         raise TheoremViolation(
             "strictly irreducible driving kernel produced a non-product invariant "

@@ -259,7 +259,7 @@ def test_criterion_7_monte_carlo_convergence():
     assert worst <= 0.01
 
     bufetov = config_system(gallery_config("bufetov_period2"))
-    path = sk.sample_path(sk.PathSampler(bufetov.spec, seed=42), 100_000)
+    path = sk.sample_path(bufetov.spec, seed=42, length=100_000)
     a = sk.birkhoff_average(bufetov, path, np.array([1.0, 0.0, 0.0]), 0, 100_000)
     assert abs(a - 0.5) <= 1e-4
     elapsed = time.perf_counter() - t0

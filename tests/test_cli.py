@@ -244,7 +244,7 @@ CALL_LIMITS = {
     "sim_classes": 1,
     "dual_sim_classes": 1,
     "strict_irreducibility_routes": 1,
-    "family_invariant_partition": 2,
+    "family_invariant_partition": 1,
 }
 
 

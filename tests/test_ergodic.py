@@ -21,18 +21,18 @@ IND1 = np.array([1.0, 0.0, 0.0])
 # sample_path
 # ---------------------------------------------------------------------------
 def test_path_deterministic_rows(period2_spec):
-    path = sk.sample_path(sk.PathSampler(period2_spec, seed=5, start=0), 5)
+    path = sk.sample_path(period2_spec, seed=5, length=5, start=0)
     assert list(path) == [0, 1, 0, 1, 0]
 
 
 def test_path_length_zero(period2_spec):
-    assert len(sk.sample_path(sk.PathSampler(period2_spec, seed=5), 0)) == 0
+    assert len(sk.sample_path(period2_spec, seed=5, length=0)) == 0
 
 
 def test_path_reproducible(period2_spec):
-    a = sk.sample_path(sk.PathSampler(period2_spec, seed=9), 50)
-    b = sk.sample_path(sk.PathSampler(period2_spec, seed=9), 50)
-    c = sk.sample_path(sk.PathSampler(period2_spec, seed=10), 50)
+    a = sk.sample_path(period2_spec, seed=9, length=50)
+    b = sk.sample_path(period2_spec, seed=9, length=50)
+    c = sk.sample_path(period2_spec, seed=10, length=50)
     assert (a == b).all()
     assert (a != c).any()
 
@@ -42,7 +42,7 @@ def test_path_bernoulli_chi_square():
     m = sk.ProbVector.from_values([0.2, 0.3, 0.5])
     spec = sk.trivial_kernel(m)
     n = 30_000
-    path = sk.sample_path(sk.PathSampler(spec, seed=123), n)
+    path = sk.sample_path(spec, seed=123, length=n)
     counts = np.bincount(path, minlength=3)
     expected = m.values * n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -52,20 +52,92 @@ def test_path_bernoulli_chi_square():
 
 def test_path_stationary_start_uses_m():
     spec = spec_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-    path = sk.sample_path(sk.PathSampler(spec, seed=77), 10)
+    path = sk.sample_path(spec, seed=77, length=10)
     assert set(path) == {0}
+
+
+def _draw(cum, u):
+    return int((cum <= u).sum())
+
+
+def reference_path(spec, seed, length, start=None, stream=0):
+    """The scalar sampler the library's batched one replaced, kept as its
+    oracle: one uniform for the initial state from m (none for a fixed
+    start), then one per step for the row draw."""
+    path = np.empty(length, dtype=np.int64)
+    if length == 0:
+        return path
+    g = sk.substream(seed, stream)
+    cums = np.cumsum(spec.kernel.values, axis=1)
+    cums[:, -1] = 1.0
+    if start is None:
+        m_cum = np.cumsum(spec.m.values)
+        m_cum[-1] = 1.0
+        state = _draw(m_cum, g.random())
+    else:
+        state = start
+    path[0] = state
+    for i in range(1, length):
+        state = _draw(cums[state], g.random())
+        path[i] = state
+    return path
+
+
+def _row_draws_matter(spec):
+    """Whether some state on the support of m has more than one successor."""
+    return bool(((spec.kernel.values[spec.support] > 0).sum(axis=1) > 1).any())
+
+
+# Generated specs on which a misplaced uniform changes the path; the second
+# list keeps those that also have zero-mass states.
+DRAWN_SPECS = [i for i in range(160) if _row_draws_matter(sk.generate_spec(GEN, index=i))]
+ZERO_MASS_SPECS = [
+    i for i in DRAWN_SPECS if (sk.generate_spec(GEN, index=i).m.values == 0).any()
+]
+
+
+# lengths around the first chunk edge, and one past the second
+@pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 4098, 8193])
+@given(
+    st.sampled_from(ZERO_MASS_SPECS) | st.sampled_from(DRAWN_SPECS),
+    st.integers(0, 2**32),
+    st.data(),
+)
+@settings(max_examples=4, deadline=None)
+def test_samplers_match_reference_draw(length, idx, seed, data):
+    # trial t of orbit_occupancy runs on stream t, as sample_path(stream=t)
+    spec = sk.generate_spec(GEN, index=idx)
+    start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
+    trials = data.draw(st.integers(1, 3))
+    paths = [reference_path(spec, seed, length, start, t) for t in range(trials)]
+    for t, expected in enumerate(paths):
+        assert (sk.sample_path(spec, seed, length, start, stream=t) == expected).all()
+
+    space = sk.generate_space(GEN, index=idx)
+    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    sys_ = sk.SkewSystem.create(spec, family)
+    x = int(space.support[0])
+    first, occ = sk.orbit_occupancy(sys_, seed, trials, [length], x, start)
+    tables = [list(m.table) for m in family.maps]
+    for t, path in enumerate(paths):
+        assert first[t] == path[0]
+        counts, pos = [0] * space.k, x
+        for state in path.tolist():
+            counts[pos] += 1
+            pos = tables[state][pos]
+        assert occ[length][t].tolist() == counts
 
 
 # ---------------------------------------------------------------------------
 # birkhoff_average
 # ---------------------------------------------------------------------------
 def test_birkhoff_n1_is_fx(bufetov_system):
-    path = sk.sample_path(sk.PathSampler(bufetov_system.spec, seed=5, start=0), 1)
+    path = sk.sample_path(bufetov_system.spec, seed=5, length=1, start=0)
     assert sk.birkhoff_average(bufetov_system, path, IND1, 0, 1) == 1.0
 
 
 def test_birkhoff_alternates_to_half(bufetov_system):
-    path = sk.sample_path(sk.PathSampler(bufetov_system.spec, seed=5, start=0), 1000)
+    path = sk.sample_path(bufetov_system.spec, seed=5, length=1000, start=0)
     vals = [sk.birkhoff_average(bufetov_system, path, IND1, 0, n) for n in (1, 2, 3, 1000)]
     assert vals[0] == 1.0
     assert vals[1] == 0.5
@@ -76,7 +148,7 @@ def test_birkhoff_alternates_to_half(bufetov_system):
 def test_birkhoff_identity_family_constant():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
-    path = sk.sample_path(sk.PathSampler(spec, seed=3), 64)
+    path = sk.sample_path(spec, seed=3, length=64)
     f = np.array([2.0, 7.0, 1.0])
     for n in (1, 5, 64):
         assert sk.birkhoff_average(sys_, path, f, 1, n) == 7.0
@@ -85,9 +157,18 @@ def test_birkhoff_identity_family_constant():
 def test_birkhoff_rejects_off_support_start():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[1, 0, 2], [1, 0, 2]], mu=[0.5, 0.5, 0.0])
-    path = sk.sample_path(sk.PathSampler(spec, seed=3), 8)
+    path = sk.sample_path(spec, seed=3, length=8)
     with pytest.raises(sk.StartOffSupport):
         sk.birkhoff_average(sys_, path, np.zeros(3), 2, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_birkhoff_rejects_path_state_out_of_range(bufetov_system, bad):
+    path = np.array([0, 1, bad, 0])
+    with pytest.raises(sk.ValidationError, match="path state"):
+        sk.birkhoff_average(bufetov_system, path, IND1, 0, 3)
+    # entries past the first n are not read
+    assert sk.birkhoff_average(bufetov_system, path, IND1, 0, 2) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +331,7 @@ def test_batch_matches_single_path_route(rotation_system):
     # produce bit-identical averages trial by trial
     first, occ = sk.orbit_occupancy(rotation_system, seed=11, trials=5, checkpoints=[200], x0=0)
     for t in range(5):
-        path = sk.sample_path(sk.PathSampler(rotation_system.spec, 11, None, t), 200)
+        path = sk.sample_path(rotation_system.spec, 11, 200, stream=t)
         assert path[0] == first[t]
         a = sk.birkhoff_average(rotation_system, path, IND1, 0, 200)
         assert a == float(occ[200][t] @ IND1 / 200)
@@ -323,7 +404,7 @@ def test_mc_mean_approaches_start_averaged_limit(bufetov_system):
 # ---------------------------------------------------------------------------
 F_ENTRY_POINTS = {
     "birkhoff_average": lambda s, f, x: sk.birkhoff_average(
-        s, sk.sample_path(sk.PathSampler(s.spec, seed=1), 4), f, x, 4
+        s, sk.sample_path(s.spec, seed=1, length=4), f, x, 4
     ),
     "exact_birkhoff_limit": lambda s, f, x: sk.exact_birkhoff_limit(s, 0, x, f),
     "expectation_operator": lambda s, f, x: sk.expectation_operator(s, f, x, 3),
@@ -354,3 +435,41 @@ def test_start_off_support_is_refused(entry):
 def test_occupancy_needs_a_trial(rotation_system, trials):
     with pytest.raises(sk.ValidationError, match="trials"):
         sk.orbit_occupancy(rotation_system, seed=1, trials=trials, checkpoints=[5], x0=0)
+
+
+def test_occupancy_x0_of_wrong_length_is_refused(rotation_system):
+    with pytest.raises(sk.DimensionMismatch, match=r"x0.*trials=3"):
+        sk.orbit_occupancy(rotation_system, seed=1, trials=3, checkpoints=[5], x0=[0, 1])
+
+
+# State 2 is transient: it has zero stationary mass.
+TRANSIENT_SPEC = spec_of(
+    [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], [0.5, 0.5, 0.0]
+)
+START_ENTRY_POINTS = {
+    "sample_path": lambda s, start: sk.sample_path(s.spec, seed=1, length=10, start=start),
+    "orbit_occupancy": lambda s, start: sk.orbit_occupancy(
+        s, seed=1, trials=50, checkpoints=[10, 20_000], x0=0, start=start
+    ),
+    "convergence_report": lambda s, start: sk.convergence_report(
+        s, IND1, 0, seed=1, horizons=[10, 20_000], trials=50, start=start
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(START_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "start, error",
+    [(2, sk.StartOffSupport), (3, sk.ValidationError), (-1, sk.ValidationError),
+     (0.5, sk.ValidationError)],
+)
+def test_bad_start_state_is_refused_before_sampling(monkeypatch, entry, start, error):
+    import stepskew.ergodic as ergodic
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the start state")
+
+    monkeypatch.setattr(ergodic, "substream", no_sampling)
+    sys_ = system_of(TRANSIENT_SPEC, [[1, 0, 2], [0, 2, 1], [2, 1, 0]])
+    with pytest.raises(error, match=f"start state {start}"):
+        START_ENTRY_POINTS[entry](sys_, start)
