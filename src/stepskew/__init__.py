@@ -83,11 +83,9 @@ from .oracles import (
 )
 from .skew import (
     ErgodicityReport,
-    PairChain,
     SkewSystem,
     build_base_counterexample,
     build_counterexample_family,
-    build_pair_chain,
     check_product_structure,
     counterexample_invariant_set,
     invariant_function_basis,

@@ -207,7 +207,10 @@ def orbit_occupancy(
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     family = sys.family
-    x_arr = np.asarray(x0, dtype=np.int64)
+    x_arr = np.asarray(x0)
+    if x_arr.dtype.kind not in "iu":
+        raise ValidationError(f"x0 must be integer point indices, got {x0!r}")
+    x_arr = x_arr.astype(np.int64)
     if x_arr.shape not in ((), (1,), (trials,)):
         raise DimensionMismatch(
             f"x0 has shape {x_arr.shape}; expected one start point or one per trial "

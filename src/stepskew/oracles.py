@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
-from .ergodic import orbit_occupancy, substream
+from .ergodic import _cumulative, orbit_occupancy, substream
 from .graphs import closed_components
 from .kernels import (
     MarkovSpec,
@@ -24,7 +24,7 @@ from .kernels import (
     stationary_distribution,
     validate_spec,
 )
-from .skew import PairChain, SkewSystem
+from .skew import SkewSystem
 
 # Max Birkhoff-limit spread tolerated before the probe calls a system
 # non-ergodic (at its default horizon and trial count).
@@ -89,18 +89,23 @@ def brute_force_deterministic_sets(spec: MarkovSpec) -> list[frozenset[int]]:
     return out
 
 
-def brute_force_invariant_sets(chain: PairChain) -> list[frozenset[int]]:
-    """Pair-state sets with no edge across the boundary, by enumeration."""
-    size = chain.size
+def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
+    """Pair-state sets with no edge across the boundary, by enumeration.
+
+    Pairs are the active (state, point) pairs in lexicographic order, and
+    their successor sets are read off the kernel rows and map tables.
+    """
+    spec, family = sys.spec, sys.family
+    pairs = [(int(y), int(x)) for y in spec.support for x in family.space.support]
+    size = len(pairs)
     if size > _ENUM_PAIR_CAP:
         raise TooLarge(f"{size} pair states, cap is {_ENUM_PAIR_CAP}")
-    pat = chain.kernel > 0
+    pos = {p: i for i, p in enumerate(pairs)}
     succ = [0] * size
-    for i in range(size):
-        mask = 0
-        for j in np.flatnonzero(pat[i]):
-            mask |= 1 << int(j)
-        succ[i] = mask
+    for i, (y, x) in enumerate(pairs):
+        tx = int(family.maps[y].table[x])
+        for z in spec.kernel.row_support(y):
+            succ[i] |= 1 << pos[(int(z), tx)]
     full = (1 << size) - 1
     out = []
     for sub in range(1 << size):
@@ -148,8 +153,7 @@ def statistical_ergodicity_probe(
     setup = substream(seed, _U63_SALT)
     k = sys.family.space.k
     f = setup.random(k)
-    mu_cum = np.cumsum(sys.family.space.mu.values)
-    mu_cum[-1] = 1.0
+    mu_cum = _cumulative(sys.family.space.mu.values)
     x_starts = (mu_cum[None, :] <= setup.random(trials)[:, None]).sum(axis=1)
     _, occ = orbit_occupancy(sys, seed, trials, [horizon], x_starts, start=None)
     limits = occ[horizon] @ f / horizon

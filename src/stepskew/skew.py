@@ -10,7 +10,19 @@ whose stationary vector is the product of the two measures. Because that
 stationary vector is strictly positive on pair states, the chain has no
 transient states and its strongly connected components are exactly the
 closed classes; the skew product is ergodic precisely when there is a
-single class. Both brute-force subset enumeration and a Monte Carlo
+single class.
+
+The classes are found without building the chain. Every successor of a
+pair lies in its class, so for each active y and point x the pairs
+(support of row y) x {T_y(x)} share a class. Each T_y permutes the points
+of positive mass, and rows that share a state chain together, so every
+set (sim block) x {point} lies inside one class. The classes are therefore
+the lifts of the closed classes of a quotient graph on (sim block, point)
+nodes, with edges (D, x) -> (D_z, T_z(x)) for each active z in D, where D_z
+is the block holding row z's support. A strictly irreducible kernel has one
+block; the quotient is then the orbit graph of the maps and the classes are
+(support) x (family-invariant blocks), the paper's main theorem. Brute-force
+subset enumeration, the double-loop pair kernel and a Monte Carlo
 dispersion probe (see the oracles module) cross-check this reduction in the
 test suite.
 
@@ -25,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     TransformationFamily,
@@ -66,8 +77,8 @@ class SkewSystem:
 
     @cached_property
     def pair_analysis(self) -> "PairAnalysis":
-        """The pair chain and its closed classes, built once on first use."""
-        return PairAnalysis.of(build_pair_chain(self))
+        """The pair chain's closed classes, decided once on first use."""
+        return PairAnalysis.of(self)
 
     @cached_property
     def family_partition(self) -> Partition:
@@ -78,128 +89,116 @@ class SkewSystem:
     def product_sections(self) -> tuple[frozenset[int], ...] | None:
         """Each closed class's point section if every class is (all active
         states) x (a point section), else None."""
-        analysis, sections = self.pair_analysis, []
-        for block in analysis.classes:
-            section = frozenset(analysis.chain.states[i][1] for i in block)
+        sections = []
+        for _, points in self.pair_analysis.averages:
+            section = frozenset(points.tolist())
             # The pairs lie in (active states) x section and are distinct,
             # so they fill it exactly when the counts match.
-            if len(block) != len(self.spec.support) * len(section):
+            if len(points) != len(self.spec.support) * len(section):
                 return None
             sections.append(section)
         return tuple(sections)
 
 
-@dataclass(frozen=True)
-class PairChain:
-    """The induced chain on active (state, point) pairs.
+def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
+    """The pair chain's closed classes as an (n, k) grid of class indices,
+    -1 off the active pairs, from the sim-block quotient.
 
-    states lists the pairs in lexicographic order; kernel is the dense
-    transition matrix over that ordering; stationary is the product vector
-    m(y) * mu(x), invariant for the kernel.
+    Verifies product-measure invariance first, and that the quotient has no
+    transient node: a sim partition too fine to hold each row's support in
+    one block would leave some.
     """
-
-    states: tuple[tuple[int, int], ...]
-    kernel: np.ndarray
-    stationary: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.states)}
-
-    def closed_classes(self) -> tuple[frozenset[int], ...]:
-        """SCCs of the transition pattern, verified to be closed."""
-        classes = closed_components(self.kernel > 0)
-        if sum(len(block) for block in classes) != self.size:
-            raise InternalInconsistency(
-                "pair chain has a transient class despite full-support stationarity"
-            )
-        return classes
-
-
-def build_pair_chain(sys: SkewSystem) -> PairChain:
-    """Construct the pair chain and verify product-measure invariance."""
     spec, family = sys.spec, sys.family
-    active, points = spec.support, family.space.support
-    size = len(active) * len(points)
-    # Pair i = (ys[i], xs[i]) in lexicographic order; pos inverts it.
-    ys = np.repeat(active, len(points))
-    xs = np.tile(points, len(active))
-    pos = np.full((spec.n, family.space.k), -1, dtype=np.intp)
-    pos[ys, xs] = np.arange(size)
-    images = family.table_matrix()[ys, xs]
-    # One entry per (active row y, successor z) edge, repeated for every
-    # point: pair (y, x) steps to (z, T_y(x)) with weight k(y, z).
-    kv = spec.kernel.values
-    row, z = np.nonzero(kv[active])
-    src = row[:, None] * len(points) + np.arange(len(points))
-    kernel = np.zeros((size, size))
-    kernel[src, pos[z[:, None], images[src]]] = kv[active[row], z][:, None]
-    stationary = spec.m.values[ys] * family.space.mu.values[xs]
-    row_dev = float(np.abs(kernel.sum(axis=1) - 1.0).max())
-    if row_dev > EPS_SUM:
-        raise InternalInconsistency(f"pair kernel rows are not stochastic ({row_dev:.3e})")
-    inv_dev = float(np.abs(stationary @ kernel - stationary).max())
+    n, k = spec.n, family.space.k
+    kv, tables = spec.kernel.values, family.table_matrix()
+    product = spec.m.values[:, None] * family.space.mu.values
+    # Pair (y, x) sends its mass to (z, T_y(x)) with weight k(y, z): move
+    # each row along its map, then mix the rows through the kernel.
+    flat = (np.arange(0, n * k, k)[:, None] + tables).ravel()
+    moved = np.bincount(flat, weights=product.ravel(), minlength=n * k).reshape(n, k)
+    inv_dev = float(np.abs(kv.T @ moved - product).max())
     if inv_dev > EPS_SUM:
         raise InternalInconsistency(
-            f"product measure is not invariant for the pair kernel ({inv_dev:.3e})"
+            f"product measure is not invariant for the pair chain ({inv_dev:.3e})"
         )
-    kernel.setflags(write=False)
-    stationary.setflags(write=False)
-    return PairChain(tuple(zip(ys.tolist(), xs.tolist())), kernel, stationary)
+    active, points = spec.support, family.space.support
+    blocks, width = spec.sim.blocks, len(points)
+    block_of = np.empty(n, dtype=np.intp)
+    for b, block in enumerate(blocks):
+        block_of[list(block)] = b
+    local = np.empty(k, dtype=np.intp)
+    local[points] = np.arange(width)
+    # Node (b, x) has index b * width + local[x]; nodes[i, j] is the node of
+    # pair (active[i], points[j]). Row z's support lies in one block, so its
+    # first successor names D_z.
+    nodes = block_of[active][:, None] * width + np.arange(width)
+    succ_block = block_of[spec.kernel.pattern[active].argmax(axis=1)]
+    size = len(blocks) * width
+    adj = np.zeros((size, size), dtype=bool)
+    adj[nodes, succ_block[:, None] * width + local[tables[active[:, None], points]]] = True
+    classes = closed_components(adj)
+    if sum(len(c) for c in classes) != size:
+        raise InternalInconsistency(
+            "sim-block quotient has a transient class despite full-support stationarity"
+        )
+    node_class = np.empty(size, dtype=np.intp)
+    for c, members in enumerate(classes):
+        node_class[list(members)] = c
+    grid = np.full((n, k), -1, dtype=np.intp)
+    grid[active[:, None], points] = node_class[nodes]
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
 class PairAnalysis:
-    """A pair chain with its closed classes, each class's product mass, and
-    for each class its points with their product weights normalised within
-    the class. class_at maps every active pair to the index of its class.
+    """The pair chain's closed classes with each class's product mass.
+
+    pair_states lists the active (state, point) pairs in lexicographic
+    order; labels is the (n, k) grid of class indices, -1 off those pairs;
+    classes holds each class as a set of pair indices. averages holds, per
+    class, the product weights m(y) * mu(x) of its pairs normalised within
+    the class, with the pairs' points.
     """
 
-    chain: PairChain
+    pair_states: tuple[tuple[int, int], ...]
+    labels: np.ndarray
     classes: tuple[frozenset[int], ...]
-    class_at: dict[tuple[int, int], int]
     masses: np.ndarray
     averages: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def of(cls, chain: PairChain) -> "PairAnalysis":
-        classes = chain.closed_classes()
-        class_at, masses, averages = {}, [], []
-        for c, block in enumerate(classes):
-            idx = sorted(block)
-            class_at.update((chain.states[i], c) for i in idx)
-            w = chain.stationary[idx]
-            masses.append(w.sum())
-            averages.append((w / w.sum(), np.array([chain.states[i][1] for i in idx])))
+    def of(cls, sys: SkewSystem) -> "PairAnalysis":
+        labels = quotient_class_grid(sys)
+        ys, xs = np.nonzero(labels >= 0)
+        pair_class = labels[ys, xs]
+        weights = sys.spec.m.values[ys] * sys.family.space.mu.values[xs]
+        # Pair indices grouped by class, ascending within each class.
+        order = np.argsort(pair_class, kind="stable")
+        classes, masses, averages, start = [], [], [], 0
+        for count in np.bincount(pair_class).tolist():
+            idx = order[start : start + count]
+            start += count
+            w = weights[idx]
+            mass = w.sum()
+            classes.append(frozenset(idx.tolist()))
+            masses.append(mass)
+            averages.append((w / mass, xs[idx]))
         masses = np.array(masses)
         masses.setflags(write=False)
-        return cls(chain, classes, class_at, masses, tuple(averages))
+        pairs = tuple(zip(ys.tolist(), xs.tolist()))
+        return cls(pairs, labels, tuple(classes), masses, tuple(averages))
 
     def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
         """Product-weighted average of f over the closed class of pair (y, x)."""
         key = (int(y), int(x))
-        if key not in self.class_at:
+        n, k = self.labels.shape
+        # Range-check first: a negative index would wrap around the grid.
+        c = self.labels[key] if 0 <= key[0] < n and 0 <= key[1] < k else -1
+        if c < 0:
             raise InvalidPairState(f"{key} is not an active (state, point) pair")
-        w, pts = self.averages[self.class_at[key]]
+        w, pts = self.averages[c]
         return float(w @ fv[pts])
-
-    def fixed_space_dim(self) -> int:
-        """Dimension of the pair kernel's fixed space, by SVD one class at a time.
-
-        No edge joins two classes, so with the pairs ordered by class P - I
-        is block diagonal and its singular values are those of its diagonal
-        blocks together: the per-block counts sum to the whole-matrix count.
-        """
-        dim = 0
-        for block in self.classes:
-            idx = sorted(block)
-            sub = self.chain.kernel[np.ix_(idx, idx)] - np.eye(len(idx))
-            s = scipy.linalg.svd(sub, compute_uv=False)
-            dim += int(np.sum(s <= 1e-10 * self.chain.size))
-        return dim
 
 
 @dataclass(frozen=True)
@@ -216,47 +215,39 @@ class ErgodicityReport:
 def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
     """Decide ergodicity of the skew product from the pair chain's classes."""
     analysis = sys.pair_analysis
-    chain, classes = analysis.chain, analysis.classes
+    classes = analysis.classes
     return ErgodicityReport(
         ergodic=len(classes) == 1,
-        pair_states=chain.states,
-        classes=partition_from_blocks(range(chain.size), classes),
+        pair_states=analysis.pair_states,
+        classes=partition_from_blocks(range(len(analysis.pair_states)), classes),
         class_masses=analysis.masses,
         product_structured=sys.product_sections is not None,
     )
 
 
 def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
-    """Indicator vectors of the closed classes, verified to span the fixed space.
+    """Indicator vectors of the closed classes, over the pairs in
+    lexicographic order.
 
     Each returned vector g satisfies g(y, x) = sum_z k(y, z) g(z, T_y(x))
-    entrywise; an SVD rank check confirms no further independent solutions
-    exist.
+    entrywise, verified directly from the kernel and the maps. No further
+    independent solutions exist: the pair chain has one fixed direction per
+    closed class.
     """
-    analysis = sys.pair_analysis
-    chain = analysis.chain
-    ys, xs = np.array(chain.states).T
-    images = sys.family.table_matrix()[ys, xs]
-    kv = sys.spec.kernel.values
-    grid = np.zeros((sys.spec.n, sys.family.space.k))
+    labels = sys.pair_analysis.labels
+    active = labels >= 0
+    kv, tables = sys.spec.kernel.values, sys.family.table_matrix()
     vectors = []
-    for block in analysis.classes:
-        g = np.zeros(chain.size)
-        g[sorted(block)] = 1.0
-        # Verify the fixed-point identity directly from the kernel and maps,
-        # not through the already-built pair matrix.
-        grid[ys, xs] = g
-        bad = np.flatnonzero(np.abs(g - (kv @ grid)[ys, images]) > 1e-12)
+    for c in range(len(sys.pair_analysis.classes)):
+        grid = (labels == c).astype(float)
+        pulled = np.take_along_axis(kv @ grid, tables, axis=1)
+        bad = np.argwhere(active & (np.abs(grid - pulled) > 1e-12))
         if bad.size:
             raise InternalInconsistency(
-                f"class indicator violates the fixed-point identity at {chain.states[bad[0]]}"
+                "class indicator violates the fixed-point identity at "
+                f"{tuple(bad[0].tolist())}"
             )
-        vectors.append(g)
-    fixed_dim = analysis.fixed_space_dim()
-    if fixed_dim != len(vectors):
-        raise InternalInconsistency(
-            f"fixed space has dimension {fixed_dim}, expected {len(vectors)} class indicators"
-        )
+        vectors.append(grid[active])
     return vectors
 
 

@@ -25,6 +25,22 @@ def system_of(spec, tables, mu=None, points=None) -> sk.SkewSystem:
     return sk.SkewSystem.create(spec, family)
 
 
+def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
+    """The dense pair kernel by the per-pair double loop: row (y, x) gives
+    weight k(y, z) to (z, T_y(x)), over the active pairs in lexicographic
+    order. The test oracle for the pair chain's classes."""
+    spec, family = sys_.spec, sys_.family
+    states = [(int(y), int(x)) for y in spec.support for x in family.space.support]
+    pos = {p: i for i, p in enumerate(states)}
+    kernel = np.zeros((len(states), len(states)))
+    kv = spec.kernel.values
+    for i, (y, x) in enumerate(states):
+        tx = int(family.maps[y].table[x])
+        for z in spec.kernel.row_support(y):
+            kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
+    return kernel
+
+
 def union_closure(blocks) -> set[frozenset]:
     """All unions of the given blocks, including the empty union."""
     sets = {frozenset()}

@@ -291,3 +291,12 @@ def test_simulate_matches_golden_trace(name):
     # cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
     csv = cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
     assert csv.encode() == (GOLDEN / f"simulate_{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+@pytest.mark.parametrize("command", ["check", "skew"])
+def test_report_matches_golden(command, name):
+    # Pinned byte for byte, float digits included; regenerate only on a
+    # deliberate change of the report: cmd_check / cmd_skew(gallery_config(name))
+    report = {"check": cmd_check, "skew": cmd_skew}[command](gallery_config(name))
+    assert report.encode() == (GOLDEN / f"{command}_{name}.txt").read_bytes()

@@ -200,8 +200,18 @@ def test_exact_limit_block_average_independent_of_y():
 
 
 def test_exact_limit_invalid_pair(bufetov_system):
+    # bufetov_period2 has states 0 and 1; a negative state must not wrap
+    for y in (5, 2, -1, -2):
+        with pytest.raises(sk.InvalidPairState):
+            sk.exact_birkhoff_limit(bufetov_system, y, 0, IND1)
+
+
+def test_exact_limit_refuses_zero_mass_state():
+    spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
+    sys_ = system_of(spec, [[1, 0], [0, 1]])
+    sk.exact_birkhoff_limit(sys_, 0, 0, np.array([1.0, 0.0]))
     with pytest.raises(sk.InvalidPairState):
-        sk.exact_birkhoff_limit(bufetov_system, 5, 0, IND1)
+        sk.exact_birkhoff_limit(sys_, 1, 0, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +445,20 @@ def test_start_off_support_is_refused(entry):
 def test_occupancy_needs_a_trial(rotation_system, trials):
     with pytest.raises(sk.ValidationError, match="trials"):
         sk.orbit_occupancy(rotation_system, seed=1, trials=trials, checkpoints=[5], x0=0)
+
+
+@pytest.mark.parametrize("x0", [1.9, [0, 1.5], np.array([0.0, 1.0]), True])
+def test_occupancy_refuses_non_integer_x0(bufetov_system, x0):
+    with pytest.raises(sk.ValidationError, match="x0"):
+        sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
+
+
+def test_occupancy_takes_integer_array_x0(bufetov_system):
+    x0 = np.array([0, 2], dtype=np.int64)
+    _, by_array = sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
+    _, by_list = sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=[0, 2])
+    assert (by_array[3] == by_list[3]).all()
+    assert by_array[3][0, 0] >= 1 and by_array[3][1, 2] >= 1  # each start is visited
 
 
 def test_occupancy_x0_of_wrong_length_is_refused(rotation_system):

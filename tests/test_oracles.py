@@ -49,16 +49,14 @@ def test_bf_deterministic_ignores_zero_mass_states():
 # brute_force_invariant_sets
 # ---------------------------------------------------------------------------
 def test_bf_invariant_bufetov_lattice(bufetov_system):
-    chain = sk.build_pair_chain(bufetov_system)
-    lattice = sk.brute_force_invariant_sets(chain)
+    lattice = sk.brute_force_invariant_sets(bufetov_system)
     assert len(lattice) == 8  # three independent 2-cycles
     report = sk.is_skew_ergodic(bufetov_system)
     assert set(lattice) == union_closure(report.classes.blocks)
 
 
 def test_bf_invariant_ergodic_trivial(rotation_system):
-    chain = sk.build_pair_chain(rotation_system)
-    assert sk.brute_force_invariant_sets(chain) == [
+    assert sk.brute_force_invariant_sets(rotation_system) == [
         frozenset(),
         frozenset(range(6)),
     ]
@@ -67,10 +65,9 @@ def test_bf_invariant_ergodic_trivial(rotation_system):
 def test_bf_invariant_too_large():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.25] * 4))
     sys_ = system_of(spec, [[0, 1, 2, 3, 4]] * 4)
-    chain = sk.build_pair_chain(sys_)
-    assert chain.size == 20
+    assert len(sk.is_skew_ergodic(sys_).pair_states) == 20
     with pytest.raises(sk.TooLarge):
-        sk.brute_force_invariant_sets(chain)
+        sk.brute_force_invariant_sets(sys_)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +83,21 @@ def test_probe_accepts_rotation(rotation_system):
     report = sk.statistical_ergodicity_probe(rotation_system, seed=7, trials=30, horizon=20_000)
     assert not report.non_ergodic
     assert report.spread < 0.01
+
+
+@pytest.mark.parametrize(
+    "name, spread",
+    [("bufetov_period2", 0.3799959386294933), ("bernoulli_rotation", 0.021902271741344237)],
+)
+def test_probe_spread_is_pinned(name, spread):
+    # Pinned from the probe's own inline cumulative draw of the start
+    # points, before it drew them through the sampler's cumulative.
+    from stepskew.cli import config_system
+    from stepskew.gallery import gallery_config
+
+    sys_ = config_system(gallery_config(name))
+    report = sk.statistical_ergodicity_probe(sys_, seed=7, trials=30, horizon=2_000)
+    assert report.spread == spread
 
 
 def test_probe_is_one_sided_on_constant_function():

@@ -1,5 +1,6 @@
-"""Pair chain construction, skew ergodicity, product structure, and the two
-counterexample constructions, all cross-checked against enumeration."""
+"""Closed classes on the sim-block quotient, skew ergodicity, product
+structure, and the two counterexample constructions, all cross-checked
+against the double-loop pair kernel and enumeration."""
 
 from __future__ import annotations
 
@@ -11,109 +12,141 @@ from hypothesis import strategies as st
 
 import stepskew as sk
 import stepskew.skew
-from conftest import ergodic_family, spec_of, system_of, union_closure
+from conftest import (
+    ergodic_family,
+    reference_pair_kernel,
+    spec_of,
+    system_of,
+    union_closure,
+)
+from stepskew.graphs import closed_components, partition_from_blocks
 
 GEN = sk.GeneratorConfig(
     seed=3333, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
 )
+# Up to 8 states, half of them stitched into alternating (non-strict) or
+# absorbing (reducible) blocks; the absorbing ones leave zero-mass states.
+QUOTIENT_GEN = sk.GeneratorConfig(seed=3335, n_states=(1, 8), degenerate_bias=0.5)
+FOUR_STATE_BLOCK = [
+    [0.0, 0.0, 0.5, 0.5],
+    [0.0, 0.0, 0.5, 0.5],
+    [0.5, 0.5, 0.0, 0.0],
+    [0.5, 0.5, 0.0, 0.0],
+]
 
 
-def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
-    """The pair kernel by the original per-pair double loop."""
-    spec, family = sys_.spec, sys_.family
-    states = [(int(y), int(x)) for y in spec.support for x in family.space.support]
-    pos = {p: i for i, p in enumerate(states)}
-    kernel = np.zeros((len(states), len(states)))
-    kv = spec.kernel.values
-    for i, (y, x) in enumerate(states):
-        tx = int(family.maps[y].table[x])
-        for z in spec.kernel.row_support(y):
-            kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
-    return kernel
-
-
-def whole_matrix_fixed_dim(chain) -> int:
+def whole_matrix_fixed_dim(kernel: np.ndarray) -> int:
     """Fixed-space dimension from one SVD of P - I over all pairs."""
-    s = scipy.linalg.svd(chain.kernel - np.eye(chain.size), compute_uv=False)
-    return int(np.sum(s <= 1e-10 * chain.size))
+    s = scipy.linalg.svd(kernel - np.eye(len(kernel)), compute_uv=False)
+    return int(np.sum(s <= 1e-10 * len(kernel)))
+
+
+def oracle_classes(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...]:
+    return closed_components(reference_pair_kernel(sys_) > 0)
 
 
 # ---------------------------------------------------------------------------
-# build_pair_chain
+# the pair chain's closed classes, on the sim-block quotient
 # ---------------------------------------------------------------------------
 def test_pair_chain_deterministic_rows(bufetov_system):
-    chain = sk.build_pair_chain(bufetov_system)
-    assert chain.size == 6
-    assert ((chain.kernel > 0).sum(axis=1) == 1).all()
-    assert np.allclose(chain.stationary, np.full(6, 1 / 6))
+    kernel = reference_pair_kernel(bufetov_system)
+    assert kernel.shape == (6, 6)
+    assert ((kernel > 0).sum(axis=1) == 1).all()
+    analysis = bufetov_system.pair_analysis
+    assert len(analysis.pair_states) == 6
+    assert analysis.classes == oracle_classes(bufetov_system)
+    assert np.allclose(analysis.masses, 1 / 3)
 
 
 def test_pair_chain_identity_family_edges():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[0, 1], [0, 1]])
-    chain = sk.build_pair_chain(sys_)
-    pos = chain.index()
+    kernel = reference_pair_kernel(sys_)
+    pos = {p: i for i, p in enumerate(sys_.pair_analysis.pair_states)}
     for (y, x), i in pos.items():
         for z in (0, 1):
-            assert chain.kernel[i, pos[(z, x)]] == pytest.approx(0.5)
+            assert kernel[i, pos[(z, x)]] == pytest.approx(0.5)
+    # one class per point, holding both states
+    assert sys_.pair_analysis.labels.tolist() == [[0, 1], [0, 1]]
 
 
 def test_pair_chain_single_state_is_functional_graph():
     spec = spec_of([[1.0]], [1.0])
     sys_ = system_of(spec, [[1, 2, 0]])
-    chain = sk.build_pair_chain(sys_)
-    assert chain.size == 3
-    assert ((chain.kernel > 0).sum(axis=1) == 1).all()
+    assert ((reference_pair_kernel(sys_) > 0).sum(axis=1) == 1).all()
+    analysis = sys_.pair_analysis
+    assert analysis.pair_states == ((0, 0), (0, 1), (0, 2))
+    assert analysis.labels.tolist() == [[0, 0, 0]]
 
 
-@given(st.integers(min_value=0, max_value=500))
-@settings(max_examples=60, deadline=None)
-def test_pair_chain_matches_double_loop_build(idx):
-    # generated kernels include zero-mass states; points get zero mass here,
-    # and the maps send zero-mass points anywhere
-    spec = sk.generate_spec(GEN, index=idx)
+@given(
+    idx=st.integers(min_value=0, max_value=10_000),
+    zero_points=st.integers(min_value=0, max_value=2),
+    identity_share=st.sampled_from([0.0, 0.5, 0.9]),
+)
+@settings(max_examples=150, deadline=None)
+def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
+    # The quotient's classes against the double-loop kernel's closed
+    # components, as ordered tuples. Zero-mass points are added here (the
+    # generators make none) and sent anywhere by the maps; a share of the
+    # maps fix every point, which makes wide class lattices.
+    spec = sk.generate_spec(QUOTIENT_GEN, index=idx)
     rng = np.random.default_rng(idx)
-    k = int(rng.integers(2, 6))
-    weights = rng.integers(0, 3, size=k).astype(float)
-    weights[int(rng.integers(0, k))] = 1.0
+    positive = int(rng.integers(1, min(6, 64 // len(spec.support)) + 1))
+    k = positive + zero_points
+    weights = np.zeros(k)
+    live = rng.permutation(k)[:positive]
+    weights[live] = rng.integers(1, 3, size=positive)
     mu = weights / weights.sum()
     tables = []
     for _ in range(spec.n):
         table = rng.integers(0, k, size=k)
-        for level in np.unique(mu[mu > 0]):
-            idx_level = np.flatnonzero(mu == level)
-            table[idx_level] = rng.permutation(idx_level)
+        table[live] = live
+        if rng.random() >= identity_share:
+            for level in np.unique(mu[mu > 0]):
+                idx_level = np.flatnonzero(mu == level)
+                table[idx_level] = rng.permutation(idx_level)
         tables.append(table)
     sys_ = system_of(spec, tables, mu=mu)
-    chain = sk.build_pair_chain(sys_)
-    assert (chain.kernel == reference_pair_kernel(sys_)).all()
+    analysis = sys_.pair_analysis
+    want = tuple((int(y), int(x)) for y in spec.support for x in np.flatnonzero(mu))
+    assert analysis.pair_states == want
+    assert len(want) <= 64
+    assert analysis.classes == oracle_classes(sys_)
+    for c, block in enumerate(analysis.classes):
+        assert {analysis.labels[want[i]] for i in block} == {c}
+    assert (analysis.labels >= 0).sum() == len(want)
 
 
 def test_pair_chain_skips_zero_mass_states_and_points():
     spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
     sys_ = system_of(spec, [[1, 0, 1], [0, 1, 0]], mu=[0.5, 0.5, 0.0])
-    chain = sk.build_pair_chain(sys_)
-    assert chain.states == ((0, 0), (0, 1))
-    assert (chain.kernel == reference_pair_kernel(sys_)).all()
-    assert (chain.kernel == [[0.0, 1.0], [1.0, 0.0]]).all()
+    analysis = sys_.pair_analysis
+    assert analysis.pair_states == ((0, 0), (0, 1))
+    assert analysis.labels.tolist() == [[0, 0, -1], [-1, -1, -1]]
+    assert (reference_pair_kernel(sys_) == [[0.0, 1.0], [1.0, 0.0]]).all()
 
 
 def test_closed_classes_rejects_transient_pairs():
-    kernel = np.array([[0.0, 1.0], [0.0, 1.0]])
-    chain = sk.PairChain(((0, 0), (0, 1)), kernel, np.array([0.0, 1.0]))
-    with pytest.raises(sk.InternalInconsistency):
-        chain.closed_classes()
+    # Singletons are finer than this kernel's sim partition {0,1} {2,3}.
+    # Each row then names its successor block by its first successor only,
+    # so no edge enters the nodes of states 1 and 3: they are transient.
+    spec = spec_of(FOUR_STATE_BLOCK, [0.25] * 4)
+    spec.__dict__["sim"] = partition_from_blocks(range(4), [{0}, {1}, {2}, {3}])
+    sys_ = system_of(spec, [[1, 0]] * 4)
+    with pytest.raises(sk.InternalInconsistency, match="transient"):
+        sys_.pair_analysis
 
 
 def test_pair_chain_built_once_per_system(monkeypatch):
     builds = []
-    real = stepskew.skew.build_pair_chain
+    real = stepskew.skew.quotient_class_grid
 
     def counting(sys_):
         builds.append(sys_)
         return real(sys_)
 
-    monkeypatch.setattr(stepskew.skew, "build_pair_chain", counting)
+    monkeypatch.setattr(stepskew.skew, "quotient_class_grid", counting)
     spec = spec_of([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     sys_ = system_of(spec, [[1, 2, 0, 3], [2, 0, 1, 3]])
     f = np.array([1.0, 0.0, 0.0, 2.0])
@@ -134,9 +167,51 @@ def test_pair_chain_stationarity(idx):
     spec = sk.generate_spec(GEN, index=idx)
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
-    chain = sk.build_pair_chain(sk.SkewSystem.create(spec, family))
-    assert np.abs(chain.stationary @ chain.kernel - chain.stationary).max() <= 1e-12
-    assert chain.stationary.sum() == pytest.approx(1.0, abs=1e-12)
+    sys_ = sk.SkewSystem.create(spec, family)
+    analysis = sys_.pair_analysis  # passes its own invariance check
+    stationary = np.array(
+        [spec.m.values[y] * space.mu.values[x] for y, x in analysis.pair_states]
+    )
+    kernel = reference_pair_kernel(sys_)
+    assert np.abs(stationary @ kernel - stationary).max() <= 1e-12
+    assert analysis.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
+    # Strictly irreducible kernel on 100 states and a 100-point family with
+    # four planted sigma-blocks: the dense pair kernel would take 800 MB.
+    n = k = 100
+    rows = np.zeros((n, n))
+    for y in range(n):
+        rows[y, [y, (y + 1) % n, (y + 3) % n]] = 1 / 3
+    spec = spec_of(rows, np.full(n, 1 / n))
+    assert sk.is_strictly_irreducible(spec)
+    cuts = [0, 10, 35, 60, 100]
+    spans = list(zip(cuts, cuts[1:]))
+    mu = np.concatenate([np.full(b - a, c + 1.0) for c, (a, b) in enumerate(spans)])
+    mu /= mu.sum()
+    rng = np.random.default_rng(100)
+    tables = []
+    for _ in range(n):
+        table = np.arange(k)
+        for a, b in spans:
+            table[a:b] = a + rng.permutation(b - a)
+        tables.append(table)
+    sys_ = system_of(spec, tables, mu=mu)
+    blocks = {frozenset(range(a, b)) for a, b in spans}
+    assert set(sys_.family_partition.blocks) == blocks
+    report = sk.is_skew_ergodic(sys_)
+    assert len(report.pair_states) == n * k
+    assert len(report.classes.blocks) == 4
+    assert set(sys_.product_sections) == blocks
+    assert sk.check_product_structure(sys_)
+    assert len(sk.invariant_function_basis(sys_)) == 4
+    f = rng.random(k)
+    cond = sk.conditional_expectation(sys_.family, spec.support, f)
+    for y, x in [(0, 0), (37, 12), (99, 99), (50, 59), (3, 60)]:
+        assert sk.exact_birkhoff_limit(sys_, y, x, f) == pytest.approx(cond[x], abs=1e-12)
+    for x in range(0, k, 7):
+        assert sk.exact_cesaro_limit(sys_, f, x) == pytest.approx(cond[x], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +267,12 @@ def test_basis_identity_family_strictly_irreducible():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.4, 0.6]))
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
     basis = sk.invariant_function_basis(sys_)
-    chain = sk.build_pair_chain(sys_)
+    pairs = sk.is_skew_ergodic(sys_).pair_states
     assert len(basis) == 3
     # each indicator is 1 (tensor) 1_C for a singleton block C of the fiber
     for g in basis:
-        pts = {chain.states[i][1] for i in np.flatnonzero(g)}
-        states = {chain.states[i][0] for i in np.flatnonzero(g)}
+        pts = {pairs[i][1] for i in np.flatnonzero(g)}
+        states = {pairs[i][0] for i in np.flatnonzero(g)}
         assert len(pts) == 1
         assert states == {0, 1}
 
@@ -209,9 +284,9 @@ def test_basis_satisfies_fixed_point_identity(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    chain = sk.build_pair_chain(sys_)
+    kernel = reference_pair_kernel(sys_)
     for g in sk.invariant_function_basis(sys_):
-        assert np.abs(chain.kernel @ g - g).max() <= 1e-12
+        assert np.abs(kernel @ g - g).max() <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=800))
@@ -221,10 +296,11 @@ def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
     spec = sk.generate_spec(cfg, index=idx)
     space = sk.generate_space(cfg, index=idx)
     family = sk.generate_family(cfg, space, states=spec.n, index=idx)
-    analysis = sk.SkewSystem.create(spec, family).pair_analysis
-    assert analysis.chain.size <= 64
-    assert analysis.fixed_space_dim() == whole_matrix_fixed_dim(analysis.chain)
-    assert analysis.fixed_space_dim() == len(analysis.classes)
+    sys_ = sk.SkewSystem.create(spec, family)
+    assert len(sys_.pair_analysis.pair_states) <= 64
+    # one fixed direction per closed class (Perron-Frobenius on each)
+    kernel = reference_pair_kernel(sys_)
+    assert whole_matrix_fixed_dim(kernel) == len(sys_.pair_analysis.classes)
 
 
 def test_per_class_fixed_dim_planted_three_classes():
@@ -233,7 +309,7 @@ def test_per_class_fixed_dim_planted_three_classes():
     sys_ = system_of(spec, [[1, 2, 0, 4, 3, 5], [2, 0, 1, 3, 4, 5]])
     analysis = sys_.pair_analysis
     assert sorted(len(b) for b in analysis.classes) == [2, 4, 6]
-    assert analysis.fixed_space_dim() == whole_matrix_fixed_dim(analysis.chain) == 3
+    assert whole_matrix_fixed_dim(reference_pair_kernel(sys_)) == 3
     assert len(sk.invariant_function_basis(sys_)) == 3
 
 
@@ -242,6 +318,14 @@ def test_per_class_fixed_dim_planted_three_classes():
 # ---------------------------------------------------------------------------
 def test_product_structure_bufetov_false(bufetov_system):
     assert not sk.check_product_structure(bufetov_system)
+
+
+def test_product_structure_guard_raises_on_strict_kernel(rotation_system):
+    # A non-product answer over a strictly irreducible kernel is a bug.
+    sys_ = sk.SkewSystem.create(rotation_system.spec, rotation_system.family)
+    sys_.__dict__["product_sections"] = None
+    with pytest.raises(sk.TheoremViolation):
+        sk.check_product_structure(sys_)
 
 
 def test_product_structure_single_driving_state():
@@ -317,7 +401,7 @@ def test_base_counterexample_identity_kernel_classes():
     report = sk.is_skew_ergodic(sys_)
     assert len(report.classes.blocks) == 3
     assert not report.product_structured
-    lattice = sk.brute_force_invariant_sets(sk.build_pair_chain(sys_))
+    lattice = sk.brute_force_invariant_sets(sys_)
     assert len(lattice) == 8
 
 
@@ -399,10 +483,9 @@ def test_classes_match_brute_force_lattice(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    chain = sk.build_pair_chain(sys_)
-    if chain.size > 16:
-        return
     report = sk.is_skew_ergodic(sys_)
-    assert set(sk.brute_force_invariant_sets(chain)) == union_closure(
+    if len(report.pair_states) > 16:
+        return
+    assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(
         report.classes.blocks
     )
