@@ -1,0 +1,90 @@
+"""Time the closed-class layers on a strictly irreducible n = k = 300 system.
+
+The driving kernel steps y -> y, y + 1, y + 3 (mod 300) with weight 1/3
+each; the 300 fiber points carry four planted family-invariant blocks,
+which every map permutes within. The skew product then has 9*10^4 active
+pairs and, by the main theorem, exactly four closed classes (support x
+block). The script times the ergodicity report, the product-structure
+check, the invariant basis, 300 Birkhoff limits and 300 Cesaro limits,
+checks every limit against the conditional expectation, and prints the
+times and the peak resident set size.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/scale_300.py
+"""
+
+from __future__ import annotations
+
+import resource
+import time
+
+import numpy as np
+
+import stepskew as sk
+
+N = K = 300
+CUTS = [0, 30, 105, 180, 300]
+
+
+def build_system() -> sk.SkewSystem:
+    rows = np.zeros((N, N))
+    for y in range(N):
+        rows[y, [y, (y + 1) % N, (y + 3) % N]] = 1 / 3
+    spec = sk.validate_spec(
+        sk.StochasticMatrix.from_rows(rows), sk.ProbVector.from_values(np.full(N, 1 / N))
+    )
+    spans = list(zip(CUTS, CUTS[1:]))
+    mu = np.concatenate([np.full(b - a, c + 1.0) for c, (a, b) in enumerate(spans)])
+    rng = np.random.default_rng(300)
+    tables = []
+    for _ in range(N):
+        table = np.arange(K)
+        for a, b in spans:
+            table[a:b] = a + rng.permutation(b - a)
+        tables.append(table)
+    space = sk.FiniteMeasureSpace.create(range(K), mu / mu.sum())
+    return sk.SkewSystem.create(spec, sk.TransformationFamily.create(space, tables))
+
+
+def main() -> None:
+    start = time.perf_counter()
+    sys_ = build_system()
+    times = {"build": time.perf_counter() - start}
+
+    def timed(name, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        times[name] = time.perf_counter() - t0
+        return out
+
+    report = timed("report", lambda: sk.is_skew_ergodic(sys_))
+    product = timed("check_product_structure", lambda: sk.check_product_structure(sys_))
+    basis = timed("basis", lambda: sk.invariant_function_basis(sys_))
+    rng = np.random.default_rng(301)
+    f = rng.random(K)
+    pairs = list(zip(rng.integers(0, N, size=300).tolist(), rng.integers(0, K, size=300).tolist()))
+    birkhoff = timed(
+        "birkhoff_limits_300", lambda: [sk.exact_birkhoff_limit(sys_, y, x, f) for y, x in pairs]
+    )
+    cesaro = timed(
+        "cesaro_limits_300", lambda: [sk.exact_cesaro_limit(sys_, f, x) for x in range(K)]
+    )
+    total = time.perf_counter() - start
+
+    cond = sk.conditional_expectation(sys_.family, sys_.spec.support, f)
+    assert len(report.class_masses) == 4 and len(basis) == 4, "expected four closed classes"
+    assert product and report.product_structured, "expected product structure"
+    want = [cond[x] for _, x in pairs] + cond.tolist()
+    worst = max(abs(a - b) for a, b in zip(birkhoff + cesaro, want))
+    assert worst <= 1e-12, f"a limit differs from the conditional expectation by {worst:.3e}"
+
+    for name, seconds in times.items():
+        print(f"{name}: {seconds:.4f} s")
+    print(f"total: {total:.4f} s")
+    print(f"max_limit_error: {worst:.3e}")
+    print(f"peak_rss_mb: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+
+
+if __name__ == "__main__":
+    main()

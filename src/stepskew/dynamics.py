@@ -91,8 +91,7 @@ def validate_map(space: FiniteMeasureSpace, table) -> MeasurePreservingMap:
     if t.min() < 0 or t.max() >= space.k:
         raise ValidationError("map table contains out-of-range point indices")
     mu = space.mu.values
-    push = np.zeros(space.k)
-    np.add.at(push, t, mu)
+    push = np.bincount(t, weights=mu, minlength=space.k)
     dev = np.abs(push - mu)
     worst = int(np.argmax(dev))
     if dev[worst] > EPS_SUM:

@@ -121,7 +121,7 @@ def exact_birkhoff_limit(sys: SkewSystem, y: int, x: int, f) -> float:
     pair; for a strictly irreducible driving kernel this is the conditional
     expectation of f on the invariant partition, independent of y.
     """
-    return sys.pair_analysis.class_average(y, x, _checked_f_at(sys, f, x))
+    return sys.closed_classes.class_average(y, x, _checked_f_at(sys, f, x))
 
 
 def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
@@ -136,17 +136,11 @@ def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
 def _point_marginals(sys: SkewSystem, x: int):
     """Fiber marginals of the (state, point) mass after j = 0, 1, 2, ...
     steps, started from m on the states and all mass at x."""
-    kv = sys.spec.kernel.values
-    tables = sys.family.table_matrix()
-    rows = np.arange(sys.spec.n)[:, None]
-    p = np.zeros(tables.shape)
+    p = np.zeros((sys.spec.n, sys.family.space.k))
     p[:, int(x)] = sys.spec.m.values
     while True:
         yield p.sum(axis=0)
-        # Rows off the support of m carry no mass, so they add exact zeros.
-        moved = np.zeros_like(p)
-        np.add.at(moved, (rows, tables), p)
-        p = kv.T @ moved
+        p = sys._pair_step(p)
 
 
 def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
@@ -157,10 +151,14 @@ def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
     the limit is the m-mixture of class averages over the classes met by x.
     """
     fv = _checked_f_at(sys, f, x)
-    mv = sys.spec.m.values
+    report, mv = sys.closed_classes, sys.spec.m.values
+    averages: dict[int, float] = {}  # each class met by x, averaged once
     total = 0.0
     for y in sys.spec.support:
-        total += float(mv[int(y)]) * sys.pair_analysis.class_average(y, x, fv)
+        c = int(report.labels[y, x])
+        if c not in averages:
+            averages[c] = report.class_average(y, x, fv)
+        total += float(mv[y]) * averages[c]
     return total
 
 
@@ -228,7 +226,7 @@ def orbit_occupancy(
     for step, states in enumerate(walk, 1):
         if step == 1:
             first_states = states
-        np.add.at(counts, (rows, x_arr), 1)
+        counts[rows, x_arr] += 1  # one entry per trial row, so no repeats
         x_arr = tables[states, x_arr]
         if step in want:
             results[step] = counts.copy()

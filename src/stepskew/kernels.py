@@ -183,7 +183,7 @@ class ReachReport:
 
     target: frozenset[int]
     u_set: frozenset[int]
-    per_step: tuple[frozenset[int], ...] | None = None
+    per_step: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def kernel_product(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix
     return StochasticMatrix.from_rows(a.values @ b.values)
 
 
-def reach_set(spec: MarkovSpec, b, record_steps: bool = True) -> ReachReport:
+def reach_set(spec: MarkovSpec, b) -> ReachReport:
     """States from which the target set is hit with positive probability.
 
     Pattern-exact forward reachability restricted to the support of m. The
@@ -290,7 +290,7 @@ def reach_set(spec: MarkovSpec, b, record_steps: bool = True) -> ReachReport:
         layers.append(frozenset(int(supp[k]) for k in np.flatnonzero(cur)))
         total |= cur
     u_set = frozenset(int(supp[k]) for k in np.flatnonzero(total))
-    return ReachReport(target, u_set, tuple(layers) if record_steps else None)
+    return ReachReport(target, u_set, tuple(layers))
 
 
 def is_irreducible(spec: MarkovSpec) -> bool:
@@ -423,13 +423,10 @@ def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
     blocks = spec.sim.blocks
     if len(blocks) > MAX_ENUM_BLOCKS:
         return DeterministicSetFamily(blocks, complete=False)
-    sets: list[frozenset[int]] = []
-    for mask in range(1 << len(blocks)):
-        u: frozenset[int] = frozenset()
-        for k in range(len(blocks)):
-            if mask >> k & 1:
-                u |= blocks[k]
-        sets.append(u)
+    # The blocks are disjoint, so doubling over them gives 2^b distinct unions.
+    sets: list[frozenset[int]] = [frozenset()]
+    for block in blocks:
+        sets += [s | block for s in sets]
     sets.sort(key=lambda s: (len(s), sorted(s)))
     return DeterministicSetFamily(tuple(sets), complete=True)
 

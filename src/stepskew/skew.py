@@ -76,9 +76,9 @@ class SkewSystem:
         return cls(spec, family)
 
     @cached_property
-    def pair_analysis(self) -> "PairAnalysis":
+    def closed_classes(self) -> "ErgodicityReport":
         """The pair chain's closed classes, decided once on first use."""
-        return PairAnalysis.of(self)
+        return ErgodicityReport.of(self)
 
     @cached_property
     def family_partition(self) -> Partition:
@@ -86,18 +86,17 @@ class SkewSystem:
         return family_invariant_partition(self.family, self.spec.support)
 
     @cached_property
-    def product_sections(self) -> tuple[frozenset[int], ...] | None:
-        """Each closed class's point section if every class is (all active
-        states) x (a point section), else None."""
-        sections = []
-        for _, points in self.pair_analysis.averages:
-            section = frozenset(points.tolist())
-            # The pairs lie in (active states) x section and are distinct,
-            # so they fill it exactly when the counts match.
-            if len(points) != len(self.spec.support) * len(section):
-                return None
-            sections.append(section)
-        return tuple(sections)
+    def _flat_images(self) -> np.ndarray:
+        """Flat index y * k + T_y(x) of each pair (y, x), in row-major order."""
+        n, k = self.spec.n, self.family.space.k
+        return (np.arange(0, n * k, k)[:, None] + self.family.table_matrix()).ravel()
+
+    def _pair_step(self, mass: np.ndarray) -> np.ndarray:
+        """One step of the pair chain on an (n, k) mass grid: pair (y, x)
+        sends its mass to (z, T_y(x)) with weight k(y, z). Each row moves
+        along its map, then the rows mix through the kernel."""
+        moved = np.bincount(self._flat_images, weights=mass.ravel(), minlength=mass.size)
+        return self.spec.kernel.values.T @ moved.reshape(mass.shape)
 
 
 def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
@@ -110,13 +109,9 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     """
     spec, family = sys.spec, sys.family
     n, k = spec.n, family.space.k
-    kv, tables = spec.kernel.values, family.table_matrix()
+    tables = family.table_matrix()
     product = spec.m.values[:, None] * family.space.mu.values
-    # Pair (y, x) sends its mass to (z, T_y(x)) with weight k(y, z): move
-    # each row along its map, then mix the rows through the kernel.
-    flat = (np.arange(0, n * k, k)[:, None] + tables).ravel()
-    moved = np.bincount(flat, weights=product.ravel(), minlength=n * k).reshape(n, k)
-    inv_dev = float(np.abs(kv.T @ moved - product).max())
+    inv_dev = float(np.abs(sys._pair_step(product) - product).max())
     if inv_dev > EPS_SUM:
         raise InternalInconsistency(
             f"product measure is not invariant for the pair chain ({inv_dev:.3e})"
@@ -141,6 +136,8 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
         raise InternalInconsistency(
             "sim-block quotient has a transient class despite full-support stationarity"
         )
+    # Nodes are ordered by (block, point) and blocks by their least state, so
+    # the classes come numbered in the order of their first pair.
     node_class = np.empty(size, dtype=np.intp)
     for c, members in enumerate(classes):
         node_class[list(members)] = c
@@ -150,44 +147,71 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class PairAnalysis:
-    """The pair chain's closed classes with each class's product mass.
+def _pairs_by_class(labels: np.ndarray) -> list[np.ndarray]:
+    """Indices of the active pairs, in lexicographic order, grouped by class."""
+    pair_class = labels[labels >= 0]
+    order = np.argsort(pair_class, kind="stable")
+    ends = np.cumsum(np.bincount(pair_class)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
-    pair_states lists the active (state, point) pairs in lexicographic
-    order; labels is the (n, k) grid of class indices, -1 off those pairs;
-    classes holds each class as a set of pair indices. averages holds, per
-    class, the product weights m(y) * mu(x) of its pairs normalised within
-    the class, with the pairs' points.
+
+@dataclass(frozen=True)
+class ErgodicityReport:
+    """The pair chain's closed classes, held as an (n, k) label grid.
+
+    labels holds class indices, -1 off the active pairs, with the classes
+    numbered by their first pair in lexicographic order. Per class,
+    class_masses and class_weights hold the product mass and the weights
+    m(y) * mu(x) of its pairs (in lexicographic order) normalised within the
+    class, with their points. sections holds each class's point section when
+    every class is (all active states) x (a point section), else None.
     """
 
-    pair_states: tuple[tuple[int, int], ...]
     labels: np.ndarray
-    classes: tuple[frozenset[int], ...]
-    masses: np.ndarray
-    averages: tuple[tuple[np.ndarray, np.ndarray], ...]
+    class_masses: np.ndarray
+    class_weights: tuple[tuple[np.ndarray, np.ndarray], ...]
+    sections: tuple[frozenset[int], ...] | None
 
     @classmethod
-    def of(cls, sys: SkewSystem) -> "PairAnalysis":
+    def of(cls, sys: SkewSystem) -> "ErgodicityReport":
         labels = quotient_class_grid(sys)
         ys, xs = np.nonzero(labels >= 0)
-        pair_class = labels[ys, xs]
         weights = sys.spec.m.values[ys] * sys.family.space.mu.values[xs]
-        # Pair indices grouped by class, ascending within each class.
-        order = np.argsort(pair_class, kind="stable")
-        classes, masses, averages, start = [], [], [], 0
-        for count in np.bincount(pair_class).tolist():
-            idx = order[start : start + count]
-            start += count
+        masses, class_weights = [], []
+        for idx in _pairs_by_class(labels):
             w = weights[idx]
-            mass = w.sum()
-            classes.append(frozenset(idx.tolist()))
-            masses.append(mass)
-            averages.append((w / mass, xs[idx]))
+            masses.append(w.sum())
+            class_weights.append((w / masses[-1], xs[idx]))
         masses = np.array(masses)
         masses.setflags(write=False)
-        pairs = tuple(zip(ys.tolist(), xs.tolist()))
-        return cls(pairs, labels, tuple(classes), masses, tuple(averages))
+        # A class is a product exactly when every point's column keeps one
+        # label over the active states.
+        points = sys.family.space.support
+        cols = labels[sys.spec.support][:, points]
+        sections = None
+        if (cols == cols[0]).all():
+            sections = tuple(frozenset(points[cols[0] == c].tolist()) for c in range(len(masses)))
+        return cls(labels, masses, tuple(class_weights), sections)
+
+    @property
+    def ergodic(self) -> bool:
+        return len(self.class_masses) == 1
+
+    @property
+    def product_structured(self) -> bool:
+        return self.sections is not None
+
+    @cached_property
+    def pair_states(self) -> tuple[tuple[int, int], ...]:
+        """The active (state, point) pairs in lexicographic order."""
+        ys, xs = np.nonzero(self.labels >= 0)
+        return tuple(zip(ys.tolist(), xs.tolist()))
+
+    @cached_property
+    def classes(self) -> Partition:
+        """The classes as sets of indices into pair_states."""
+        blocks = [idx.tolist() for idx in _pairs_by_class(self.labels)]
+        return partition_from_blocks(range(int((self.labels >= 0).sum())), blocks)
 
     def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
         """Product-weighted average of f over the closed class of pair (y, x)."""
@@ -197,32 +221,13 @@ class PairAnalysis:
         c = self.labels[key] if 0 <= key[0] < n and 0 <= key[1] < k else -1
         if c < 0:
             raise InvalidPairState(f"{key} is not an active (state, point) pair")
-        w, pts = self.averages[c]
+        w, pts = self.class_weights[c]
         return float(w @ fv[pts])
-
-
-@dataclass(frozen=True)
-class ErgodicityReport:
-    """Closed-class decomposition of a skew product's pair chain."""
-
-    ergodic: bool
-    pair_states: tuple[tuple[int, int], ...]
-    classes: Partition
-    class_masses: np.ndarray
-    product_structured: bool
 
 
 def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
     """Decide ergodicity of the skew product from the pair chain's classes."""
-    analysis = sys.pair_analysis
-    classes = analysis.classes
-    return ErgodicityReport(
-        ergodic=len(classes) == 1,
-        pair_states=analysis.pair_states,
-        classes=partition_from_blocks(range(len(analysis.pair_states)), classes),
-        class_masses=analysis.masses,
-        product_structured=sys.product_sections is not None,
-    )
+    return sys.closed_classes
 
 
 def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
@@ -234,11 +239,11 @@ def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
     independent solutions exist: the pair chain has one fixed direction per
     closed class.
     """
-    labels = sys.pair_analysis.labels
+    labels = sys.closed_classes.labels
     active = labels >= 0
     kv, tables = sys.spec.kernel.values, sys.family.table_matrix()
     vectors = []
-    for c in range(len(sys.pair_analysis.classes)):
+    for c in range(len(sys.closed_classes.class_masses)):
         grid = (labels == c).astype(float)
         pulled = np.take_along_axis(kv @ grid, tables, axis=1)
         bad = np.argwhere(active & (np.abs(grid - pulled) > 1e-12))
@@ -259,7 +264,7 @@ def check_product_structure(sys: SkewSystem) -> bool:
     strictly irreducible driving kernel a False answer is impossible and
     raises TheoremViolation.
     """
-    sections = sys.product_sections
+    sections = sys.closed_classes.sections
     product = sections is not None and set(sections) == set(sys.family_partition.blocks)
     if not product and is_strictly_irreducible(sys.spec):
         raise TheoremViolation(
@@ -329,7 +334,7 @@ def build_base_counterexample(spec: MarkovSpec) -> SkewSystem:
     supp = spec.support_set
     absorbing: frozenset[int] | None = None
     for b in sorted(supp):
-        u = reach_set(spec, {b}, record_steps=False).u_set
+        u = reach_set(spec, {b}).u_set
         if not supp <= u:
             absorbing = supp - u
             break

@@ -239,7 +239,7 @@ def test_main_simulate_writes_identical_csv(tmp_path):
 # work done per command, and pinned simulate traces
 # ---------------------------------------------------------------------------
 # The most calls one report may make; sim partitions, strict routes and
-# product sections are cached on the spec and the system.
+# closed classes are cached on the spec and the system.
 CALL_LIMITS = {
     "sim_classes": 1,
     "dual_sim_classes": 1,
@@ -267,14 +267,14 @@ def test_check_computes_each_sim_partition_once(monkeypatch, command, name):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("stepskew") and getattr(mod, fname, None) is original:
                 monkeypatch.setattr(mod, fname, counted)
-    sections = skew.SkewSystem.__dict__["product_sections"]
+    closed_classes = skew.SkewSystem.__dict__["closed_classes"]
     owners = []
 
-    def counted_sections(system, _original=sections.func):
+    def counted_classes(system, _original=closed_classes.func):
         owners.append(system)
         return _original(system)
 
-    monkeypatch.setattr(sections, "func", counted_sections)
+    monkeypatch.setattr(closed_classes, "func", counted_classes)
     globals()[command](gallery_config(name))
     assert all(calls[f] <= CALL_LIMITS[f] for f in calls), calls
     if command == "cmd_check":

@@ -302,6 +302,49 @@ def test_cesaro_integrates_to_mean(idx):
     assert abs(float(mu @ tilde) - float(mu @ f)) <= 1e-10
 
 
+def per_state_cesaro_limit(sys_, f, x) -> float:
+    """The Cesaro limit with one class average per active state: the oracle
+    for exact_cesaro_limit, which averages each class met by x once."""
+    fv = np.asarray(f, dtype=float)
+    mv = sys_.spec.m.values
+    total = 0.0
+    for y in sys_.spec.support:
+        total += float(mv[int(y)]) * sys_.closed_classes.class_average(y, x, fv)
+    return total
+
+
+@given(st.integers(min_value=0, max_value=2_000))
+@settings(max_examples=60, deadline=None)
+def test_cesaro_limit_matches_per_state_loop_bit_for_bit(idx):
+    cfg = sk.GeneratorConfig(seed=4445, n_states=(1, 8), n_points=(1, 6), degenerate_bias=0.5)
+    spec = sk.generate_spec(cfg, index=idx)
+    space = sk.generate_space(cfg, index=idx)
+    family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+    sys_ = sk.SkewSystem.create(spec, family)
+    f = np.random.default_rng(idx).normal(size=space.k)
+    for x in space.support:
+        assert sk.exact_cesaro_limit(sys_, f, int(x)) == per_state_cesaro_limit(sys_, f, int(x))
+
+
+def test_cesaro_limit_averages_each_class_once(monkeypatch):
+    # Twelve states over a strictly irreducible kernel and point blocks
+    # {0, 1, 2}, {3, 4}: each point meets one class, averaged once.
+    spec = sk.trivial_kernel(sk.ProbVector.from_values(np.full(12, 1 / 12)))
+    sys_ = system_of(spec, [[1, 2, 0, 4, 3], [2, 0, 1, 3, 4]] * 6)
+    calls = []
+    real = sk.ErgodicityReport.class_average
+
+    def counting(report, y, x, fv):
+        calls.append((int(y), int(x)))
+        return real(report, y, x, fv)
+
+    monkeypatch.setattr(sk.ErgodicityReport, "class_average", counting)
+    f = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert sk.exact_cesaro_limit(sys_, f, 0) == pytest.approx(2.0, abs=1e-12)
+    assert sk.exact_cesaro_limit(sys_, f, 4) == pytest.approx(4.5, abs=1e-12)
+    assert calls == [(0, 0), (0, 4)]
+
+
 def test_cesaro_partial_matches_closed_form(bufetov_system):
     partial = sk.cesaro_partial_averages(bufetov_system, IND1, 0, [10, 1000])
     assert partial[10] == pytest.approx(0.5, abs=1e-12)

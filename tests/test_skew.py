@@ -4,6 +4,8 @@ against the double-loop pair kernel and enumeration."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,44 +54,40 @@ def test_pair_chain_deterministic_rows(bufetov_system):
     kernel = reference_pair_kernel(bufetov_system)
     assert kernel.shape == (6, 6)
     assert ((kernel > 0).sum(axis=1) == 1).all()
-    analysis = bufetov_system.pair_analysis
+    analysis = bufetov_system.closed_classes
     assert len(analysis.pair_states) == 6
-    assert analysis.classes == oracle_classes(bufetov_system)
-    assert np.allclose(analysis.masses, 1 / 3)
+    assert analysis.classes.blocks == oracle_classes(bufetov_system)
+    assert np.allclose(analysis.class_masses, 1 / 3)
 
 
 def test_pair_chain_identity_family_edges():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[0, 1], [0, 1]])
     kernel = reference_pair_kernel(sys_)
-    pos = {p: i for i, p in enumerate(sys_.pair_analysis.pair_states)}
+    pos = {p: i for i, p in enumerate(sys_.closed_classes.pair_states)}
     for (y, x), i in pos.items():
         for z in (0, 1):
             assert kernel[i, pos[(z, x)]] == pytest.approx(0.5)
     # one class per point, holding both states
-    assert sys_.pair_analysis.labels.tolist() == [[0, 1], [0, 1]]
+    assert sys_.closed_classes.labels.tolist() == [[0, 1], [0, 1]]
 
 
 def test_pair_chain_single_state_is_functional_graph():
     spec = spec_of([[1.0]], [1.0])
     sys_ = system_of(spec, [[1, 2, 0]])
     assert ((reference_pair_kernel(sys_) > 0).sum(axis=1) == 1).all()
-    analysis = sys_.pair_analysis
+    analysis = sys_.closed_classes
     assert analysis.pair_states == ((0, 0), (0, 1), (0, 2))
     assert analysis.labels.tolist() == [[0, 0, 0]]
 
 
-@given(
-    idx=st.integers(min_value=0, max_value=10_000),
-    zero_points=st.integers(min_value=0, max_value=2),
-    identity_share=st.sampled_from([0.0, 0.5, 0.9]),
-)
-@settings(max_examples=150, deadline=None)
-def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
-    # The quotient's classes against the double-loop kernel's closed
-    # components, as ordered tuples. Zero-mass points are added here (the
-    # generators make none) and sent anywhere by the maps; a share of the
-    # maps fix every point, which makes wide class lattices.
+def quotient_system(idx: int, zero_points: int, identity_share: float) -> sk.SkewSystem:
+    """A QUOTIENT_GEN kernel with a random family of at most 64 active pairs.
+
+    Zero-mass points are added here (the generators make none) and sent
+    anywhere by the maps; a share of the maps fix every point, which makes
+    wide class lattices.
+    """
     spec = sk.generate_spec(QUOTIENT_GEN, index=idx)
     rng = np.random.default_rng(idx)
     positive = int(rng.integers(1, min(6, 64 // len(spec.support)) + 1))
@@ -107,21 +105,78 @@ def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
                 idx_level = np.flatnonzero(mu == level)
                 table[idx_level] = rng.permutation(idx_level)
         tables.append(table)
-    sys_ = system_of(spec, tables, mu=mu)
-    analysis = sys_.pair_analysis
+    return system_of(spec, tables, mu=mu)
+
+
+QUOTIENT_SYSTEMS = dict(
+    idx=st.integers(min_value=0, max_value=10_000),
+    zero_points=st.integers(min_value=0, max_value=2),
+    identity_share=st.sampled_from([0.0, 0.5, 0.9]),
+)
+
+
+def counted_sections(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...] | None:
+    """Product sections by counting: the oracle for the grid-column rule.
+
+    A class's pairs lie in (active states) x section and are distinct, so
+    they fill it exactly when the counts match.
+    """
+    sections = []
+    for _, points in sys_.closed_classes.class_weights:
+        section = frozenset(points.tolist())
+        if len(points) != len(sys_.spec.support) * len(section):
+            return None
+        sections.append(section)
+    return tuple(sections)
+
+
+@given(**QUOTIENT_SYSTEMS)
+@settings(max_examples=150, deadline=None)
+def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
+    # The quotient's classes, derived lazily from the label grid, against
+    # the double-loop kernel's closed components, as ordered tuples.
+    sys_ = quotient_system(idx, zero_points, identity_share)
+    spec, mu = sys_.spec, sys_.family.space.mu.values
+    analysis = sys_.closed_classes
     want = tuple((int(y), int(x)) for y in spec.support for x in np.flatnonzero(mu))
     assert analysis.pair_states == want
     assert len(want) <= 64
-    assert analysis.classes == oracle_classes(sys_)
-    for c, block in enumerate(analysis.classes):
+    assert analysis.classes.blocks == oracle_classes(sys_)
+    for c, block in enumerate(analysis.classes.blocks):
         assert {analysis.labels[want[i]] for i in block} == {c}
     assert (analysis.labels >= 0).sum() == len(want)
+    assert analysis.sections == counted_sections(sys_)
+
+
+@given(**QUOTIENT_SYSTEMS)
+@settings(max_examples=100, deadline=None)
+def test_pair_step_matches_double_loop_kernel(idx, zero_points, identity_share):
+    # One private step on the (n, k) grid against the dense kernel over the
+    # active pairs; zero-mass states and points stay exactly empty.
+    sys_ = quotient_system(idx, zero_points, identity_share)
+    active = sys_.closed_classes.labels >= 0
+    mass = np.zeros(active.shape)
+    mass[active] = np.random.default_rng(idx).random(int(active.sum()))
+    stepped = sys_._pair_step(mass)
+    assert np.abs(stepped[active] - mass[active] @ reference_pair_kernel(sys_)).max() <= 1e-14
+    assert (stepped[~active] == 0).all()
+
+
+def test_limits_and_basis_leave_pair_lists_unbuilt(bufetov_system):
+    sys_ = sk.SkewSystem.create(bufetov_system.spec, bufetov_system.family)
+    f = np.array([1.0, 0.0, 2.0])
+    sk.invariant_function_basis(sys_)
+    sk.check_product_structure(sys_)
+    sk.exact_birkhoff_limit(sys_, 0, 1, f)
+    sk.exact_cesaro_limit(sys_, f, 2)
+    assert "pair_states" not in vars(sys_.closed_classes)
+    assert "classes" not in vars(sys_.closed_classes)
 
 
 def test_pair_chain_skips_zero_mass_states_and_points():
     spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
     sys_ = system_of(spec, [[1, 0, 1], [0, 1, 0]], mu=[0.5, 0.5, 0.0])
-    analysis = sys_.pair_analysis
+    analysis = sys_.closed_classes
     assert analysis.pair_states == ((0, 0), (0, 1))
     assert analysis.labels.tolist() == [[0, 0, -1], [-1, -1, -1]]
     assert (reference_pair_kernel(sys_) == [[0.0, 1.0], [1.0, 0.0]]).all()
@@ -135,7 +190,7 @@ def test_closed_classes_rejects_transient_pairs():
     spec.__dict__["sim"] = partition_from_blocks(range(4), [{0}, {1}, {2}, {3}])
     sys_ = system_of(spec, [[1, 0]] * 4)
     with pytest.raises(sk.InternalInconsistency, match="transient"):
-        sys_.pair_analysis
+        sys_.closed_classes
 
 
 def test_pair_chain_built_once_per_system(monkeypatch):
@@ -168,13 +223,13 @@ def test_pair_chain_stationarity(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    analysis = sys_.pair_analysis  # passes its own invariance check
+    analysis = sys_.closed_classes  # passes its own invariance check
     stationary = np.array(
         [spec.m.values[y] * space.mu.values[x] for y, x in analysis.pair_states]
     )
     kernel = reference_pair_kernel(sys_)
     assert np.abs(stationary @ kernel - stationary).max() <= 1e-12
-    assert analysis.masses.sum() == pytest.approx(1.0, abs=1e-12)
+    assert analysis.class_masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
@@ -203,7 +258,7 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
     report = sk.is_skew_ergodic(sys_)
     assert len(report.pair_states) == n * k
     assert len(report.classes.blocks) == 4
-    assert set(sys_.product_sections) == blocks
+    assert set(report.sections) == blocks
     assert sk.check_product_structure(sys_)
     assert len(sk.invariant_function_basis(sys_)) == 4
     f = rng.random(k)
@@ -297,18 +352,19 @@ def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
     space = sk.generate_space(cfg, index=idx)
     family = sk.generate_family(cfg, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    assert len(sys_.pair_analysis.pair_states) <= 64
+    assert len(sys_.closed_classes.pair_states) <= 64
     # one fixed direction per closed class (Perron-Frobenius on each)
     kernel = reference_pair_kernel(sys_)
-    assert whole_matrix_fixed_dim(kernel) == len(sys_.pair_analysis.classes)
+    assert whole_matrix_fixed_dim(kernel) == len(sys_.closed_classes.class_masses)
+    assert sys_.closed_classes.sections == counted_sections(sys_)
 
 
 def test_per_class_fixed_dim_planted_three_classes():
     # point blocks {0,1,2}, {3,4} and {5} over a strictly irreducible kernel
     spec = spec_of([[0.5, 0.5], [0.3, 0.7]], [0.375, 0.625])
     sys_ = system_of(spec, [[1, 2, 0, 4, 3, 5], [2, 0, 1, 3, 4, 5]])
-    analysis = sys_.pair_analysis
-    assert sorted(len(b) for b in analysis.classes) == [2, 4, 6]
+    analysis = sys_.closed_classes
+    assert sorted(len(b) for b in analysis.classes.blocks) == [2, 4, 6]
     assert whole_matrix_fixed_dim(reference_pair_kernel(sys_)) == 3
     assert len(sk.invariant_function_basis(sys_)) == 3
 
@@ -323,7 +379,8 @@ def test_product_structure_bufetov_false(bufetov_system):
 def test_product_structure_guard_raises_on_strict_kernel(rotation_system):
     # A non-product answer over a strictly irreducible kernel is a bug.
     sys_ = sk.SkewSystem.create(rotation_system.spec, rotation_system.family)
-    sys_.__dict__["product_sections"] = None
+    report = sys_.closed_classes
+    sys_.__dict__["closed_classes"] = dataclasses.replace(report, sections=None)
     with pytest.raises(sk.TheoremViolation):
         sk.check_product_structure(sys_)
 
