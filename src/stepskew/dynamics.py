@@ -14,6 +14,7 @@ are reported as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +128,15 @@ class TransformationFamily:
         return len(self.maps)
 
     def table_matrix(self) -> np.ndarray:
-        """Stacked map tables, shape (n_states, k); row y is the table of map y."""
-        return np.stack([m.table for m in self.maps])
+        """Stacked map tables, shape (n_states, k), read-only; row y is the
+        table of map y."""
+        return self._tables
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        tables = np.stack([m.table for m in self.maps])
+        tables.setflags(write=False)
+        return tables
 
 
 def family_invariant_partition(family: TransformationFamily, active) -> Partition:

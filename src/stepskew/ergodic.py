@@ -41,6 +41,16 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
 
 
 _CHUNK = 4096  # uniforms drawn per stream at a time
+_VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
+
+
+def _checked_count(value, what: str, least: int) -> int:
+    """value as an int, refused unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, steps: int):
@@ -63,11 +73,18 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
     else:
         states = np.full(len(gens), start, dtype=np.int64)
     cums = _cumulative(spec.kernel.values)
+    u = np.empty((len(gens), min(_CHUNK, steps)))
     for done in range(0, steps, _CHUNK):
         width = min(_CHUNK, steps - done)
-        for u in np.stack([g.random(width) for g in gens], axis=1):
+        for row, g in zip(u, gens):
+            g.random(out=row[:width])
+        for j in range(width):
             yield states
-            states = (cums[states] <= u[:, None]).sum(axis=1)
+            # The index of the first cumulative entry > u is the count of
+            # entries <= u: partial sums never decrease before the pinned
+            # last entry, and that 1.0 exceeds every u, even in a row whose
+            # sums drift above 1.0 before it.
+            states = (cums.take(states, axis=0) > u[:, j, None]).argmax(axis=1)
 
 
 def sample_path(
@@ -76,8 +93,7 @@ def sample_path(
     """Driving path of the given length on one substream: the initial state
     from m (or fixed by start), then one row draw per step. Identical seed,
     start and stream reproduce the identical path."""
-    if length < 0:
-        raise ValidationError("path length must be nonnegative")
+    length = _checked_count(length, "path length", 0)
     steps = _driving_states(spec, seed, [stream], start, length)
     return np.array([states[0] for states in steps], dtype=np.int64)
 
@@ -179,8 +195,8 @@ def cesaro_partial_averages(
 
 
 def _checked_horizons(horizons) -> list[int]:
-    hs = [int(h) for h in horizons]
-    if not hs or any(b <= a for a, b in zip(hs, hs[1:])) or hs[0] < 1:
+    hs = [_checked_count(h, "horizon", 1) for h in horizons]
+    if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("horizons must be a strictly increasing list of counts >= 1")
     return hs
 
@@ -202,8 +218,7 @@ def orbit_occupancy(
     any f follow as counts @ f / n.
     """
     hs = _checked_horizons(checkpoints)
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
+    trials = _checked_count(trials, "trials", 1)
     family = sys.family
     x_arr = np.asarray(x0)
     if x_arr.dtype.kind not in "iu":
@@ -217,19 +232,27 @@ def orbit_occupancy(
     x_arr = np.broadcast_to(x_arr, (trials,)).copy()
     if any(int(x) not in family.space.support_set for x in x_arr):
         raise StartOffSupport("a trial starts at a zero-mass point")
-    tables = family.table_matrix()
-    counts = np.zeros((trials, family.space.k), dtype=np.int64)
+    tables, k = family.table_matrix(), family.space.k
+    # Each step writes one row of flat indices trial*k + x; a full buffer or
+    # a checkpoint folds the rows into counts with one bincount.
+    counts = np.zeros(trials * k, dtype=np.int64)
+    offsets = np.arange(0, trials * k, k)
+    visits = np.empty((max(_VISITS // trials, 1), trials), dtype=np.int64)
+    filled = 0
     results: dict[int, np.ndarray] = {}
     want = set(hs)
-    rows = np.arange(trials)
     walk = _driving_states(sys.spec, seed, range(trials), start, hs[-1])
     for step, states in enumerate(walk, 1):
         if step == 1:
             first_states = states
-        counts[rows, x_arr] += 1  # one entry per trial row, so no repeats
+        np.add(offsets, x_arr, out=visits[filled])
+        filled += 1
         x_arr = tables[states, x_arr]
-        if step in want:
-            results[step] = counts.copy()
+        if filled == len(visits) or step in want:
+            counts += np.bincount(visits[:filled].ravel(), minlength=trials * k)
+            filled = 0
+            if step in want:
+                results[step] = counts.reshape(trials, k).copy()
     return first_states, results
 
 

@@ -90,7 +90,7 @@ class ProbVector:
         """Indices with strictly positive mass."""
         return np.flatnonzero(self.values)
 
-    @property
+    @cached_property
     def support_set(self) -> frozenset[int]:
         return frozenset(int(i) for i in self.support)
 

@@ -77,6 +77,15 @@ def test_cycle_pair_family_ergodic():
     assert sk.is_family_ergodic(family, [0, 1])
 
 
+def test_support_set_and_table_matrix_are_built_once():
+    space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
+    family = sk.TransformationFamily.create(space, [[1, 0, 2], [0, 1, 2]])
+    assert space.support_set == {0, 1} and space.support_set is space.support_set
+    tables = family.table_matrix()
+    assert tables.tolist() == [[1, 0, 2], [0, 1, 2]]
+    assert family.table_matrix() is tables and not tables.flags.writeable
+
+
 def test_identity_family_not_ergodic():
     space = sk.uniform_space(("a", "b", "c", "d"))
     family = sk.TransformationFamily.create(space, [[0, 1, 2, 3]])

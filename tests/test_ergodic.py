@@ -106,6 +106,8 @@ ZERO_MASS_SPECS = [
 @settings(max_examples=4, deadline=None)
 def test_samplers_match_reference_draw(length, idx, seed, data):
     # trial t of orbit_occupancy runs on stream t, as sample_path(stream=t)
+    import stepskew.ergodic as ergodic
+
     spec = sk.generate_spec(GEN, index=idx)
     start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
     trials = data.draw(st.integers(1, 3))
@@ -113,19 +115,66 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
     for t, expected in enumerate(paths):
         assert (sk.sample_path(spec, seed, length, start, stream=t) == expected).all()
 
+    # checkpoints on both sides of the chunk edge, with a visit buffer that
+    # flushes every step, every few steps, mid-chunk or never
+    edges = st.sampled_from([1, 2, 4095, 4096, 4097, 8192]).filter(lambda n: n <= length)
+    checkpoints = sorted(data.draw(st.sets(edges | st.integers(1, length), max_size=4)) | {length})
+    visits = data.draw(st.sampled_from([1, 7, 3000, ergodic._VISITS]))
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     x = int(space.support[0])
-    first, occ = sk.orbit_occupancy(sys_, seed, trials, [length], x, start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_VISITS", visits)
+        first, occ = sk.orbit_occupancy(sys_, seed, trials, checkpoints, x, start)
+    assert sorted(occ) == checkpoints
     tables = [list(m.table) for m in family.maps]
     for t, path in enumerate(paths):
         assert first[t] == path[0]
         counts, pos = [0] * space.k, x
-        for state in path.tolist():
+        for n, state in enumerate(path.tolist(), 1):
             counts[pos] += 1
             pos = tables[state][pos]
-        assert occ[length][t].tolist() == counts
+            if n in occ:
+                assert occ[n][t].tolist() == counts
+
+
+class _GivenUniforms:
+    """Stands in for a substream, handing out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, out):
+        out[:] = [self.uniforms.pop(0) for _ in range(out.size)]
+
+
+# Row 0 is the ingested [0.2, 0.7, 0.1, 0.0], whose partial sums reach
+# 1.0000000000000002 before the pinned 1.0; row 1 has a leading zero, row 2
+# trailing zeros. m = (5, 15, 8, 0) / 28 is stationary.
+ROW_RULE_SPEC = spec_of(
+    [[0.2, 0.7, 0.1, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    [5 / 28, 15 / 28, 8 / 28, 0.0],
+)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_row_draw_is_the_counting_rule(monkeypatch, start):
+    # the sampler takes the first cumulative entry > u; the oracle counts
+    # the entries <= u, at u = 0, at each threshold, one ulp either side of
+    # it, and at the largest uniform below 1
+    import stepskew.ergodic as ergodic
+
+    cum = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)[start]
+    assert start != 0 or cum[2] > 1.0  # the drifting row
+    near = [np.nextafter(c, d) for c in cum for d in (0.0, 2.0)]
+    us = sorted({float(u) for u in [0.0, 0.5, *cum, *near] if 0.0 <= u < 1.0})
+    gens = iter([_GivenUniforms([u, 0.5]) for u in us])
+    monkeypatch.setattr(ergodic, "substream", lambda seed, stream: next(gens))
+    _, drawn = ergodic._driving_states(ROW_RULE_SPEC, 0, range(len(us)), start, 2)
+    expected = [int((cum <= u).sum()) for u in us]
+    assert drawn.tolist() == expected
+    assert all(ROW_RULE_SPEC.kernel.values[start, y] > 0 for y in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +482,28 @@ def test_trace_csv_shape_and_determinism(rotation_system):
 def test_trace_rejects_bad_horizons(rotation_system):
     with pytest.raises(sk.ValidationError):
         sk.convergence_report(rotation_system, IND1, 0, seed=1, horizons=[100, 10])
+
+
+COUNT_ENTRY_POINTS = {
+    "horizon": lambda s, n: sk.cesaro_partial_averages(s, IND1, 0, [n]),
+    "checkpoint": lambda s, n: sk.orbit_occupancy(s, seed=1, trials=2, checkpoints=[n], x0=0),
+    "length": lambda s, n: sk.sample_path(s.spec, seed=1, length=n),
+    "trials": lambda s, n: sk.orbit_occupancy(s, seed=1, trials=n, checkpoints=[3], x0=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [2.9, 3.0, np.float64(3.0), "3", True])
+def test_non_integer_counts_are_refused(rotation_system, entry, n):
+    with pytest.raises(sk.ValidationError, match="integer"):
+        COUNT_ENTRY_POINTS[entry](rotation_system, n)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_numpy_integer_counts_are_taken(rotation_system, entry):
+    assert repr(COUNT_ENTRY_POINTS[entry](rotation_system, np.int64(3))) == repr(
+        COUNT_ENTRY_POINTS[entry](rotation_system, 3)
+    )
 
 
 def test_mc_mean_approaches_start_averaged_limit(bufetov_system):
