@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -27,10 +26,14 @@ from .skew import SkewSystem
 _U64 = (1 << 64) - 1
 
 
+def _stream_key(seed: int, stream: int) -> np.ndarray:
+    """Philox key of stream (seed, stream): both taken modulo 2**64."""
+    return np.array([seed & _U64, stream & _U64], dtype=np.uint64)
+
+
 def substream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); counter-based, reproducible."""
-    key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
@@ -42,6 +45,7 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
 
 _CHUNK = 4096  # uniforms drawn per stream at a time
 _VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
+_DP_BLOCK = 1 << 16  # (state, point) masses held per block of DP steps
 
 
 def _checked_count(value, what: str, least: int) -> int:
@@ -62,29 +66,42 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
     still to go. Stream s yields the same states whatever the other streams.
     """
     if start is not None:
-        if not isinstance(start, (int, np.integer)) or not 0 <= start < spec.n:
+        is_index = isinstance(start, (int, np.integer)) and not isinstance(start, bool)
+        if not is_index or not 0 <= start < spec.n:
             raise ValidationError(f"start state {start!r} is not a state index 0..{spec.n - 1}")
         if spec.m.values[start] == 0:
             raise StartOffSupport(f"start state {start} has zero stationary mass")
-    gens = [substream(seed, s) for s in streams]
-    if start is None:
-        m_cum = _cumulative(spec.m.values)
-        states = np.array([(m_cum <= g.random()).sum() for g in gens], dtype=np.int64)
-    else:
-        states = np.full(len(gens), start, dtype=np.int64)
-    cums = _cumulative(spec.kernel.values)
-    u = np.empty((len(gens), min(_CHUNK, steps)))
+    # One Philox serves every stream: re-keying it to (seed, s) with counter
+    # 0 and an empty buffer puts it where substream(seed, s) starts, and a
+    # stream that spans chunks resumes from its saved state.
+    bg = np.random.Philox(key=_stream_key(seed, 0))
+    draw = np.random.Generator(bg).random
+    fresh = bg.state
+    positions = [
+        {**fresh, "state": {**fresh["state"], "key": _stream_key(seed, s)}} for s in streams
+    ]
+    m_cum, cums = _cumulative(spec.m.values), _cumulative(spec.kernel.values)
+    lead = int(start is None)  # column 0 of the first chunk draws the initial state
+    if start is not None:
+        states = np.full(len(positions), start, dtype=np.int64)
+    u = np.empty((len(positions), min(_CHUNK, steps) + lead))
     for done in range(0, steps, _CHUNK):
-        width = min(_CHUNK, steps - done)
-        for row, g in zip(u, gens):
-            g.random(out=row[:width])
-        for j in range(width):
+        width = min(_CHUNK, steps - done) + lead
+        for i, row in enumerate(u):
+            bg.state = positions[i]
+            draw(out=row[:width])
+            if done + _CHUNK < steps:
+                positions[i] = bg.state
+        if lead:
+            states = (m_cum <= u[:, :1]).sum(axis=1)
+        for j in range(lead, width):
             yield states
             # The index of the first cumulative entry > u is the count of
             # entries <= u: partial sums never decrease before the pinned
             # last entry, and that 1.0 exceeds every u, even in a row whose
             # sums drift above 1.0 before it.
             states = (cums.take(states, axis=0) > u[:, j, None]).argmax(axis=1)
+        lead = 0
 
 
 def sample_path(
@@ -114,7 +131,8 @@ def birkhoff_average(
 ) -> float:
     """Time average of f along the orbit of x driven by the first n path states."""
     fv = _checked_f_at(sys, f, x)
-    if not 1 <= n <= len(path):
+    n = _checked_count(n, "n", 1)
+    if n > len(path):
         raise ValidationError(f"need 1 <= n <= path length, got n={n}")
     tables = [list(m.table) for m in sys.family.maps]
     fl = list(fv)
@@ -144,19 +162,31 @@ def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
     """Average of f over the n-th random iterate of x, by exact dynamic
     programming on (state, point) mass."""
     fv = _checked_f_at(sys, f, x)
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
-    return float(next(islice(_point_marginals(sys, x), n, None)) @ fv)
+    n = _checked_count(n, "n", 0)
+    return float(_iterate_means(sys, fv, x, n + 1)[n])
 
 
-def _point_marginals(sys: SkewSystem, x: int):
-    """Fiber marginals of the (state, point) mass after j = 0, 1, 2, ...
-    steps, started from m on the states and all mass at x."""
-    p = np.zeros((sys.spec.n, sys.family.space.k))
-    p[:, int(x)] = sys.spec.m.values
-    while True:
-        yield p.sum(axis=0)
-        p = sys._pair_step(p)
+def _iterate_means(sys: SkewSystem, fv: np.ndarray, x: int, steps: int) -> np.ndarray:
+    """M_j f(x) for j = 0 .. steps-1: the (state, point) mass starts as m on
+    the states, all at point x, and takes one pair-chain step per j.
+
+    Consecutive masses fill one block of about _DP_BLOCK entries; each block
+    is summed to fiber marginals and dotted with f in one vecdot, which uses
+    the kernel of a 1-D dot, so every value has the per-step bits.
+    """
+    n, k = sys.spec.n, sys.family.space.k
+    block = np.empty((min(max(_DP_BLOCK // (n * k), 1), steps), n, k))
+    block[0] = 0.0
+    block[0, :, int(x)] = sys.spec.m.values
+    values = np.empty(steps)
+    for done in range(0, steps, len(block)):
+        if done:
+            sys._pair_step(block[-1], out=block[0])
+        width = min(len(block), steps - done)
+        for i in range(1, width):
+            sys._pair_step(block[i - 1], out=block[i])
+        values[done : done + width] = np.vecdot(block[:width].sum(axis=1), fv)
+    return values
 
 
 def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
@@ -184,14 +214,8 @@ def cesaro_partial_averages(
     """Iterative partial Cesaro means (1/n) sum_{j<n} M_j f(x) at each horizon."""
     hs = _checked_horizons(horizons)
     fv = _checked_f_at(sys, f, x)
-    acc = 0.0
-    out: dict[int, float] = {}
-    want = set(hs)
-    for j, marginal in zip(range(hs[-1]), _point_marginals(sys, x)):
-        acc += float(marginal @ fv)
-        if j + 1 in want:
-            out[j + 1] = acc / (j + 1)
-    return out
+    sums = np.cumsum(_iterate_means(sys, fv, x, hs[-1]))  # left to right, like a loop
+    return {n: float(sums[n - 1]) / n for n in hs}
 
 
 def _checked_horizons(horizons) -> list[int]:

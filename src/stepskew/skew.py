@@ -91,12 +91,13 @@ class SkewSystem:
         n, k = self.spec.n, self.family.space.k
         return (np.arange(0, n * k, k)[:, None] + self.family.table_matrix()).ravel()
 
-    def _pair_step(self, mass: np.ndarray) -> np.ndarray:
+    def _pair_step(self, mass: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of the pair chain on an (n, k) mass grid: pair (y, x)
         sends its mass to (z, T_y(x)) with weight k(y, z). Each row moves
-        along its map, then the rows mix through the kernel."""
+        along its map, then the rows mix through the kernel (into out, if
+        given)."""
         moved = np.bincount(self._flat_images, weights=mass.ravel(), minlength=mass.size)
-        return self.spec.kernel.values.T @ moved.reshape(mass.shape)
+        return np.matmul(self.spec.kernel.values.T, moved.reshape(mass.shape), out=out)
 
 
 def quotient_class_grid(sys: SkewSystem) -> np.ndarray:

@@ -140,13 +140,16 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
 
 
 class _GivenUniforms:
-    """Stands in for a substream, handing out the given uniforms in order."""
+    """Stands in for the sampler's generator: each stream, told apart by
+    the key on the bit generator, hands out its given uniforms in order."""
 
-    def __init__(self, uniforms):
-        self.uniforms = list(uniforms)
+    def __init__(self, bit_generator, uniforms):
+        self.bit_generator = bit_generator
+        self.uniforms = uniforms
 
     def random(self, out):
-        out[:] = [self.uniforms.pop(0) for _ in range(out.size)]
+        key = tuple(self.bit_generator.state["state"]["key"].tolist())
+        out[:] = [self.uniforms[key].pop(0) for _ in range(out.size)]
 
 
 # Row 0 is the ingested [0.2, 0.7, 0.1, 0.0], whose partial sums reach
@@ -169,12 +172,48 @@ def test_row_draw_is_the_counting_rule(monkeypatch, start):
     assert start != 0 or cum[2] > 1.0  # the drifting row
     near = [np.nextafter(c, d) for c in cum for d in (0.0, 2.0)]
     us = sorted({float(u) for u in [0.0, 0.5, *cum, *near] if 0.0 <= u < 1.0})
-    gens = iter([_GivenUniforms([u, 0.5]) for u in us])
-    monkeypatch.setattr(ergodic, "substream", lambda seed, stream: next(gens))
+    given = {tuple(ergodic._stream_key(0, s).tolist()): [u, 0.5] for s, u in enumerate(us)}
+    monkeypatch.setattr(np.random, "Generator", lambda bg: _GivenUniforms(bg, given))
     _, drawn = ergodic._driving_states(ROW_RULE_SPEC, 0, range(len(us)), start, 2)
     expected = [int((cum <= u).sum()) for u in us]
     assert drawn.tolist() == expected
     assert all(ROW_RULE_SPEC.kernel.values[start, y] > 0 for y in expected)
+
+
+# both sides of the chunk edge, and one past the second
+@pytest.mark.parametrize("steps", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("start", [None, 0])
+@given(
+    st.integers(-(2**64), 2**64),
+    st.sets(st.integers(0, 5) | st.integers(2**63 - 2, 2**64 - 1), min_size=1, max_size=3),
+)
+@settings(max_examples=4, deadline=None)
+def test_sampler_draws_are_the_substreams(steps, start, seed, streams):
+    # every uniform the sampler draws for stream s, in order, is the head of
+    # substream(seed, s): one for the initial state unless start fixes it,
+    # then one per step
+    import stepskew.ergodic as ergodic
+
+    real, drawn = np.random.Generator, {}
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self.bit_generator, self.generator = bit_generator, real(bit_generator)
+
+        def random(self, out):
+            self.generator.random(out=out)
+            key = tuple(self.bit_generator.state["state"]["key"].tolist())
+            drawn.setdefault(key, []).extend(out.tolist())
+
+    streams = sorted(streams)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "Generator", Recording)
+        walk = list(ergodic._driving_states(ROW_RULE_SPEC, seed, streams, start, steps))
+    assert len(walk) == steps
+    assert len(drawn) == len(streams)
+    for s in streams:
+        got = drawn[tuple(ergodic._stream_key(seed, s).tolist())]
+        assert got == sk.substream(seed, s).random(steps + (start is None)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +344,51 @@ def test_mn_mass_conserved_long_horizon(bufetov_system):
     assert sk.expectation_operator(bufetov_system, ones, 0, 100_000) == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+def point_marginals(sys_, x):
+    """The per-step DP the blocked one replaced, kept as its oracle: fiber
+    marginals of the (state, point) mass after j = 0, 1, 2, ... steps,
+    started from m on the states and all mass at x."""
+    p = np.zeros((sys_.spec.n, sys_.family.space.k))
+    p[:, x] = sys_.spec.m.values
+    while True:
+        yield p.sum(axis=0)
+        p = sys_._pair_step(p)
+
+
+@given(
+    st.sampled_from(ZERO_MASS_SPECS) | st.integers(0, 400),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 8]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_blocked_dp_matches_per_step_dp(idx, zero_points, block, data):
+    # block of B steps; horizons 1, B-1, B, B+1 and 2B+1 straddle its edges
+    import stepskew.ergodic as ergodic
+
+    spec = sk.generate_spec(GEN, index=idx)
+    space = sk.generate_space(GEN, index=idx)
+    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    tables, mu, k = [list(m.table) for m in family.maps], list(space.mu.values), space.k
+    if zero_points:  # two more points of zero mass, swapped by the odd states
+        tables = [t + ([k + 1, k] if y % 2 else [k, k + 1]) for y, t in enumerate(tables)]
+        mu, k = mu + [0.0, 0.0], k + 2
+    sys_ = system_of(spec, tables, mu)
+    x = data.draw(st.sampled_from([int(p) for p in space.support]))
+    f = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=k, max_size=k)))
+    horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1} - {0})
+    values, acc, partial = [], 0.0, {}
+    for j, marginal in zip(range(horizons[-1]), point_marginals(sys_, x)):
+        values.append(float(marginal @ f))
+        acc += values[-1]
+        if j + 1 in horizons:
+            partial[j + 1] = acc / (j + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_DP_BLOCK", block * spec.n * k)
+        assert sk.cesaro_partial_averages(sys_, f, x, horizons) == partial
+        assert [sk.expectation_operator(sys_, f, x, n) for n in range(len(values))] == values
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +573,10 @@ COUNT_ENTRY_POINTS = {
     "checkpoint": lambda s, n: sk.orbit_occupancy(s, seed=1, trials=2, checkpoints=[n], x0=0),
     "length": lambda s, n: sk.sample_path(s.spec, seed=1, length=n),
     "trials": lambda s, n: sk.orbit_occupancy(s, seed=1, trials=n, checkpoints=[3], x0=0),
+    "M_n": lambda s, n: sk.expectation_operator(s, IND1, 0, n),
+    "birkhoff_n": lambda s, n: sk.birkhoff_average(
+        s, sk.sample_path(s.spec, seed=1, length=4), IND1, 0, n
+    ),
 }
 
 
@@ -599,15 +687,13 @@ START_ENTRY_POINTS = {
 @pytest.mark.parametrize(
     "start, error",
     [(2, sk.StartOffSupport), (3, sk.ValidationError), (-1, sk.ValidationError),
-     (0.5, sk.ValidationError)],
+     (0.5, sk.ValidationError), (True, sk.ValidationError)],
 )
 def test_bad_start_state_is_refused_before_sampling(monkeypatch, entry, start, error):
-    import stepskew.ergodic as ergodic
-
     def no_sampling(*args):
         raise AssertionError("sampled before checking the start state")
 
-    monkeypatch.setattr(ergodic, "substream", no_sampling)
+    monkeypatch.setattr(np.random, "Generator", no_sampling)
     sys_ = system_of(TRANSIENT_SPEC, [[1, 0, 2], [0, 2, 1], [2, 1, 0]])
     with pytest.raises(error, match=f"start state {start}"):
         START_ENTRY_POINTS[entry](sys_, start)
