@@ -8,7 +8,6 @@ averages both exactly and by reproducible Monte Carlo.
 
 from .dynamics import (
     FiniteMeasureSpace,
-    MeasurePreservingMap,
     TransformationFamily,
     conditional_expectation,
     family_invariant_partition,
@@ -17,8 +16,6 @@ from .dynamics import (
     validate_map,
 )
 from .ergodic import (
-    ConvergenceTrace,
-    TraceRow,
     birkhoff_average,
     cesaro_partial_averages,
     convergence_report,
@@ -28,7 +25,6 @@ from .ergodic import (
     orbit_occupancy,
     sample_path,
     substream,
-    system_digest,
 )
 from .errors import (
     DimensionMismatch,
@@ -46,15 +42,9 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .graphs import Partition
 from .kernels import (
-    EPS_SUM,
-    EPS_ZERO,
-    MAX_ENUM_BLOCKS,
-    DeterministicSetFamily,
     MarkovSpec,
     ProbVector,
-    ReachReport,
     StochasticMatrix,
     deterministic_check,
     deterministic_sets,
@@ -71,9 +61,7 @@ from .kernels import (
     validate_spec,
 )
 from .oracles import (
-    DISPERSION_THRESHOLD,
     GeneratorConfig,
-    ProbeReport,
     brute_force_deterministic_sets,
     brute_force_invariant_sets,
     generate_family,

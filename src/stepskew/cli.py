@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ergodic
+from .config import SystemConfig
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import NotApplicable, ParseError, ValidationError
+from .gallery import gallery_config
 from .kernels import (
     MarkovSpec,
     ProbVector,
@@ -42,19 +43,6 @@ from .skew import (
 
 DEFAULT_HORIZONS = (100, 1_000, 10_000, 100_000)
 DEFAULT_TRIALS = 200
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Validated shape of a config document (values still unchecked)."""
-
-    states: tuple[str, ...]
-    kernel: tuple[tuple[float, ...], ...]
-    stationary: tuple[float, ...] | None
-    points: tuple[str, ...]
-    mu: tuple[float, ...]
-    family: tuple[tuple[str, tuple[str, ...]], ...]
-    function: tuple[str, tuple[float, ...]] | None
 
 
 def _require(doc: dict, field: str, kind, where: str = ""):
@@ -256,11 +244,7 @@ def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
     except NotApplicable:
         counter = None
     if counter is not None:
-        swaps = [
-            y
-            for y in spec.support
-            if list(counter.family.maps[int(y)].table) == [1, 0]
-        ]
+        swaps = [y for y in spec.support if counter.family.tables[y].tolist() == [1, 0]]
         witness = counterexample_invariant_set(spec)
         mass = sum(
             spec.m.values[y] * counter.family.space.mu.values[x] for y, x in witness
@@ -277,9 +261,7 @@ def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
     except NotApplicable:
         return ["COUNTEREXAMPLE: none (kernel is strictly irreducible)"]
     verdict = is_skew_ergodic(base)
-    swaps = [
-        y for y in spec.support if list(base.family.maps[int(y)].table) == [1, 0]
-    ]
+    swaps = [y for y in spec.support if base.family.tables[y].tolist() == [1, 0]]
     return [
         "COUNTEREXAMPLE: reducible base; two-point system with non-product invariant structure",
         f"COUNTEREXAMPLE_SWAP_STATES: {_set_str(cfg.states, swaps)}",
@@ -382,8 +364,6 @@ def main(argv=None) -> int:
     p_gal.add_argument("--emit", default=None)
 
     args = parser.parse_args(argv)
-    from .gallery import gallery_config
-
     try:
         if args.command == "gallery":
             try:
@@ -419,10 +399,7 @@ def main(argv=None) -> int:
             else:
                 _sys.stdout.write(csv)
         return 0
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
-    except OSError as e:
+    except (ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
 

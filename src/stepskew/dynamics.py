@@ -14,7 +14,6 @@ are reported as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,29 +65,24 @@ def uniform_space(points) -> FiniteMeasureSpace:
     return FiniteMeasureSpace.create(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
-@dataclass(frozen=True)
-class MeasurePreservingMap:
-    """A total map of point indices whose pushforward fixes the measure."""
+def validate_map(space: FiniteMeasureSpace, table) -> np.ndarray:
+    """The table of a measure-preserving map, checked and returned as a
+    read-only int64 array.
 
-    table: np.ndarray
-
-    def __call__(self, x: int) -> int:
-        return int(self.table[x])
-
-
-def validate_map(space: FiniteMeasureSpace, table) -> MeasurePreservingMap:
-    """Check the pushforward identity and the forced support bijection.
-
-    Mass conservation on a finite space forces the map to permute the
-    support; that is asserted structurally on top of the tolerance-based
-    pushforward test, so maps that shuffle mass below tolerance are still
-    rejected.
+    Entries must be integer point indices: floats, bools and strings are
+    refused, never truncated. Mass conservation on a finite space forces
+    the map to permute the support; that is asserted structurally on top of
+    the tolerance-based pushforward test, so maps that shuffle mass below
+    tolerance are still rejected.
     """
-    t = np.asarray(table, dtype=np.int64)
+    t = np.asarray(table)
     if t.shape != (space.k,):
         raise DimensionMismatch(
             f"map table has shape {t.shape}, expected ({space.k},)"
         )
+    if t.dtype.kind not in "iu":
+        raise ValidationError(f"map table must hold integer point indices, got {t.dtype} entries")
+    t = t.astype(np.int64)
     if t.min() < 0 or t.max() >= space.k:
         raise ValidationError("map table contains out-of-range point indices")
     mu = space.mu.values
@@ -108,35 +102,30 @@ def validate_map(space: FiniteMeasureSpace, table) -> MeasurePreservingMap:
             worst, float(dev[worst]), "map is not injective on the support"
         )
     t.setflags(write=False)
-    return MeasurePreservingMap(t)
+    return t
 
 
 @dataclass(frozen=True)
 class TransformationFamily:
-    """One measure-preserving map per driving state, over a shared space."""
+    """One measure-preserving map per driving state, over a shared space.
+
+    tables has shape (n_states, k) and is read-only; row y is the table of
+    the map T_y, so tables[y, x] is T_y(x).
+    """
 
     space: FiniteMeasureSpace
-    maps: tuple[MeasurePreservingMap, ...]
+    tables: np.ndarray
 
     @classmethod
     def create(cls, space: FiniteMeasureSpace, tables) -> "TransformationFamily":
-        maps = tuple(validate_map(space, t) for t in tables)
-        return cls(space, maps)
+        rows = [validate_map(space, t) for t in tables]
+        stacked = np.stack(rows) if rows else np.empty((0, space.k), dtype=np.int64)
+        stacked.setflags(write=False)
+        return cls(space, stacked)
 
     @property
     def n_states(self) -> int:
-        return len(self.maps)
-
-    def table_matrix(self) -> np.ndarray:
-        """Stacked map tables, shape (n_states, k), read-only; row y is the
-        table of map y."""
-        return self._tables
-
-    @cached_property
-    def _tables(self) -> np.ndarray:
-        tables = np.stack([m.table for m in self.maps])
-        tables.setflags(write=False)
-        return tables
+        return len(self.tables)
 
 
 def family_invariant_partition(family: TransformationFamily, active) -> Partition:
@@ -154,7 +143,7 @@ def family_invariant_partition(family: TransformationFamily, active) -> Partitio
     local = {int(x): k for k, x in enumerate(supp)}
     dsu = DisjointSets(len(supp))
     for y in act:
-        t = family.maps[y].table
+        t = family.tables[y]
         for x in supp:
             dsu.union(local[int(x)], local[int(t[x])])
     blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]

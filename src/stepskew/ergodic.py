@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, StartOffSupport, ValidationError
-from .kernels import MarkovSpec
+from .kernels import MarkovSpec, _is_index
 from .skew import SkewSystem
 
 _U64 = (1 << 64) - 1
@@ -66,8 +66,7 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
     still to go. Stream s yields the same states whatever the other streams.
     """
     if start is not None:
-        is_index = isinstance(start, (int, np.integer)) and not isinstance(start, bool)
-        if not is_index or not 0 <= start < spec.n:
+        if not _is_index(start, spec.n):
             raise ValidationError(f"start state {start!r} is not a state index 0..{spec.n - 1}")
         if spec.m.values[start] == 0:
             raise StartOffSupport(f"start state {start} has zero stationary mass")
@@ -116,11 +115,14 @@ def sample_path(
 
 
 def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
-    """f as a float vector over the fiber points, with x on their support."""
+    """f as a float vector over the fiber points, with x a point index on
+    their support."""
     fv = np.asarray(f, dtype=float)
     k = sys.family.space.k
     if fv.shape != (k,):
         raise DimensionMismatch(f"function has shape {fv.shape}, expected ({k},)")
+    if not _is_index(x, k):
+        raise ValidationError(f"start point {x!r} is not a point index 0..{k - 1}")
     if x not in sys.family.space.support_set:
         raise StartOffSupport(f"start point {x} is a zero-mass point")
     return fv
@@ -134,7 +136,7 @@ def birkhoff_average(
     n = _checked_count(n, "n", 1)
     if n > len(path):
         raise ValidationError(f"need 1 <= n <= path length, got n={n}")
-    tables = [list(m.table) for m in sys.family.maps]
+    tables = sys.family.tables.tolist()
     fl = list(fv)
     pl = [int(s) for s in path[:n]]
     bad = [s for s in pl if not 0 <= s < len(tables)]
@@ -256,7 +258,7 @@ def orbit_occupancy(
     x_arr = np.broadcast_to(x_arr, (trials,)).copy()
     if any(int(x) not in family.space.support_set for x in x_arr):
         raise StartOffSupport("a trial starts at a zero-mass point")
-    tables, k = family.table_matrix(), family.space.k
+    tables, k = family.tables, family.space.k
     # Each step writes one row of flat indices trial*k + x; a full buffer or
     # a checkpoint folds the rows into counts with one bincount.
     counts = np.zeros(trials * k, dtype=np.int64)
@@ -287,8 +289,7 @@ def system_digest(sys: SkewSystem) -> str:
     h.update(np.ascontiguousarray(sys.spec.m.values).tobytes())
     h.update(np.ascontiguousarray(sys.family.space.mu.values).tobytes())
     h.update("|".join(sys.family.space.points).encode())
-    for m in sys.family.maps:
-        h.update(np.ascontiguousarray(m.table).tobytes())
+    h.update(sys.family.tables.tobytes())
     return h.hexdigest()[:16]
 
 

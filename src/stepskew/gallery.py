@@ -10,7 +10,7 @@ ergodic skew product (deterministic_block).
 
 from __future__ import annotations
 
-from .cli import SystemConfig
+from .config import SystemConfig
 
 THIRD = 1.0 / 3.0
 

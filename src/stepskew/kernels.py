@@ -51,6 +51,13 @@ EPS_SUM = 1e-9
 MAX_ENUM_BLOCKS = 20
 
 
+def _is_index(value, size: int) -> bool:
+    """Whether value is an integer index 0 <= value < size: a Python or numpy
+    integer, never a bool or a float."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return is_int and 0 <= value < size
+
+
 def _ingest(values, name: str) -> np.ndarray:
     """Snap near-zeros to exact 0 and reject negative/invalid entries."""
     arr = np.asarray(values, dtype=float)

@@ -103,7 +103,7 @@ def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
     pos = {p: i for i, p in enumerate(pairs)}
     succ = [0] * size
     for i, (y, x) in enumerate(pairs):
-        tx = int(family.maps[y].table[x])
+        tx = int(family.tables[y, x])
         for z in spec.kernel.row_support(y):
             succ[i] |= 1 << pos[(int(z), tx)]
     full = (1 << size) - 1

@@ -54,6 +54,7 @@ from .graphs import Partition, closed_components, partition_from_blocks
 from .kernels import (
     EPS_SUM,
     MarkovSpec,
+    _is_index,
     is_irreducible,
     is_strictly_irreducible,
     reach_set,
@@ -89,7 +90,7 @@ class SkewSystem:
     def _flat_images(self) -> np.ndarray:
         """Flat index y * k + T_y(x) of each pair (y, x), in row-major order."""
         n, k = self.spec.n, self.family.space.k
-        return (np.arange(0, n * k, k)[:, None] + self.family.table_matrix()).ravel()
+        return (np.arange(0, n * k, k)[:, None] + self.family.tables).ravel()
 
     def _pair_step(self, mass: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of the pair chain on an (n, k) mass grid: pair (y, x)
@@ -110,7 +111,7 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     """
     spec, family = sys.spec, sys.family
     n, k = spec.n, family.space.k
-    tables = family.table_matrix()
+    tables = family.tables
     product = spec.m.values[:, None] * family.space.mu.values
     inv_dev = float(np.abs(sys._pair_step(product) - product).max())
     if inv_dev > EPS_SUM:
@@ -216,13 +217,11 @@ class ErgodicityReport:
 
     def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
         """Product-weighted average of f over the closed class of pair (y, x)."""
-        key = (int(y), int(x))
         n, k = self.labels.shape
-        # Range-check first: a negative index would wrap around the grid.
-        c = self.labels[key] if 0 <= key[0] < n and 0 <= key[1] < k else -1
-        if c < 0:
-            raise InvalidPairState(f"{key} is not an active (state, point) pair")
-        w, pts = self.class_weights[c]
+        # Check the indices first: a negative one would wrap around the grid.
+        if not (_is_index(y, n) and _is_index(x, k)) or self.labels[y, x] < 0:
+            raise InvalidPairState(f"({y}, {x}) is not an active (state, point) pair")
+        w, pts = self.class_weights[self.labels[y, x]]
         return float(w @ fv[pts])
 
 
@@ -242,7 +241,7 @@ def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
     """
     labels = sys.closed_classes.labels
     active = labels >= 0
-    kv, tables = sys.spec.kernel.values, sys.family.table_matrix()
+    kv, tables = sys.spec.kernel.values, sys.family.tables
     vectors = []
     for c in range(len(sys.closed_classes.class_masses)):
         grid = (labels == c).astype(float)

@@ -35,7 +35,7 @@ def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
     kernel = np.zeros((len(states), len(states)))
     kv = spec.kernel.values
     for i, (y, x) in enumerate(states):
-        tx = int(family.maps[y].table[x])
+        tx = int(family.tables[y, x])
         for z in spec.kernel.row_support(y):
             kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
     return kernel

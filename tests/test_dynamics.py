@@ -24,13 +24,41 @@ def uniform3():
 # ---------------------------------------------------------------------------
 def test_three_cycle_valid():
     mp = sk.validate_map(uniform3(), [1, 2, 0])
-    assert mp(0) == 1 and mp(2) == 0
+    assert mp[0] == 1 and mp[2] == 0
 
 
 def test_identity_valid():
     space = sk.FiniteMeasureSpace.create(("a", "b"), [0.7, 0.3])
     mp = sk.validate_map(space, [0, 1])
-    assert list(mp.table) == [0, 1]
+    assert list(mp) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[0.7, 1.2], [1.0, 0.0], np.array([1.0, 0.0]), [True, False], [False, True], ["1", "0"]],
+)
+def test_non_integer_table_is_refused(table):
+    space = sk.uniform_space(("a", "b"))
+    with pytest.raises(sk.ValidationError, match="integer point indices"):
+        sk.validate_map(space, table)
+    with pytest.raises(sk.ValidationError, match="integer point indices"):
+        sk.TransformationFamily.create(space, [[0, 1], table])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+def test_integer_table_is_returned_read_only_int64(dtype):
+    table = np.array([1, 0], dtype=dtype)
+    mp = sk.validate_map(sk.uniform_space(("a", "b")), table)
+    assert mp.dtype == np.int64 and list(mp) == [1, 0] and not mp.flags.writeable
+    assert table.flags.writeable  # the caller's array is left alone
+
+
+def test_family_of_no_maps_is_refused_by_the_system():
+    family = sk.TransformationFamily.create(uniform3(), [])
+    assert family.n_states == 0 and family.tables.shape == (0, 3)
+    spec = sk.trivial_kernel(sk.ProbVector.from_values([1.0]))
+    with pytest.raises(sk.DimensionMismatch, match="0 maps"):
+        sk.SkewSystem.create(spec, family)
 
 
 def test_constant_map_rejected():
@@ -50,7 +78,7 @@ def test_off_support_points_are_free():
     # point 2 has zero mass; collapsing it onto the support is fine
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
     mp = sk.validate_map(space, [1, 0, 0])
-    assert mp(2) == 0
+    assert mp[2] == 0
 
 
 def test_support_leak_rejected():
@@ -81,9 +109,9 @@ def test_support_set_and_table_matrix_are_built_once():
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
     family = sk.TransformationFamily.create(space, [[1, 0, 2], [0, 1, 2]])
     assert space.support_set == {0, 1} and space.support_set is space.support_set
-    tables = family.table_matrix()
+    tables = family.tables
     assert tables.tolist() == [[1, 0, 2], [0, 1, 2]]
-    assert family.table_matrix() is tables and not tables.flags.writeable
+    assert family.tables is tables and not tables.flags.writeable
 
 
 def test_identity_family_not_ergodic():
@@ -118,7 +146,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
     part = sk.family_invariant_partition(family, range(3))
     supp = space.support_set
     for y in range(3):
-        t = family.maps[y].table
+        t = family.tables[y]
         for block in part.blocks:
             assert {int(t[x]) for x in block} == set(block)
     # finest: every orbit edge stays inside one block and each block is a
@@ -127,7 +155,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
     idx_of = part.block_index()
     neighbors: dict[int, set[int]] = {int(x): set() for x in supp}
     for y in range(3):
-        t = family.maps[y].table
+        t = family.tables[y]
         for x in supp:
             assert idx_of[int(x)] == idx_of[int(t[x])]
             neighbors[int(x)].add(int(t[x]))

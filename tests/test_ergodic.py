@@ -128,7 +128,7 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
         mp.setattr(ergodic, "_VISITS", visits)
         first, occ = sk.orbit_occupancy(sys_, seed, trials, checkpoints, x, start)
     assert sorted(occ) == checkpoints
-    tables = [list(m.table) for m in family.maps]
+    tables = family.tables.tolist()
     for t, path in enumerate(paths):
         assert first[t] == path[0]
         counts, pos = [0] * space.k, x
@@ -315,7 +315,7 @@ def test_mn_one_matches_definition(rotation_system):
     sys_ = rotation_system
     x = 0
     expected = sum(
-        float(sys_.spec.m.values[y]) * f[int(sys_.family.maps[y].table[x])]
+        float(sys_.spec.m.values[y]) * f[int(sys_.family.tables[y, x])]
         for y in (0, 1)
     )
     assert sk.expectation_operator(sys_, f, x, 1) == pytest.approx(expected, abs=1e-12)
@@ -371,7 +371,7 @@ def test_blocked_dp_matches_per_step_dp(idx, zero_points, block, data):
     spec = sk.generate_spec(GEN, index=idx)
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
-    tables, mu, k = [list(m.table) for m in family.maps], list(space.mu.values), space.k
+    tables, mu, k = family.tables.tolist(), list(space.mu.values), space.k
     if zero_points:  # two more points of zero mass, swapped by the odd states
         tables = [t + ([k + 1, k] if y % 2 else [k, k + 1]) for y, t in enumerate(tables)]
         mu, k = mu + [0.0, 0.0], k + 2
@@ -641,6 +641,33 @@ def test_start_off_support_is_refused(entry):
     sys_ = system_of(spec, [[1, 0, 2], [1, 0, 2]], mu=[0.5, 0.5, 0.0])
     with pytest.raises(sk.StartOffSupport):
         F_ENTRY_POINTS[entry](sys_, np.zeros(3), 2)
+
+
+# Every entry point that takes a point index x or a state index y, called
+# with that index and valid other arguments.
+INDEX_ENTRY_POINTS = {
+    **{
+        f"{name}(x)": lambda s, i, entry=entry: entry(s, IND1, i)
+        for name, entry in F_ENTRY_POINTS.items()
+    },
+    "exact_birkhoff_limit(y)": lambda s, i: sk.exact_birkhoff_limit(s, i, 0, IND1),
+    "class_average(y)": lambda s, i: s.closed_classes.class_average(i, 0, IND1),
+    "class_average(x)": lambda s, i: s.closed_classes.class_average(0, i, IND1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [0.9, 1.0, np.float64(1.0), True, np.bool_(True), "1", None])
+def test_non_integer_index_is_refused(bufetov_system, entry, index):
+    with pytest.raises(sk.ValidationError):
+        INDEX_ENTRY_POINTS[entry](bufetov_system, index)
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [np.int64(1), np.int32(1), np.uint8(1)])
+def test_numpy_integer_index_is_accepted(bufetov_system, entry, index):
+    call = INDEX_ENTRY_POINTS[entry]
+    assert call(bufetov_system, index) == call(bufetov_system, 1)
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -177,8 +177,8 @@ def test_generated_families_validate():
     for idx in range(30):
         space = sk.generate_space(cfg, index=idx)
         fam = sk.generate_family(cfg, space, states=3, index=idx)
-        for m in fam.maps:
-            sk.validate_map(space, m.table)
+        for table in fam.tables:
+            sk.validate_map(space, table)
 
 
 def test_level_set_constraint_respected():
@@ -188,9 +188,9 @@ def test_level_set_constraint_respected():
     saw_swap = False
     for idx in range(20):
         fam = sk.generate_family(cfg, space, states=2, index=idx)
-        for m in fam.maps:
-            assert m.table[0] == 0
-            saw_swap = saw_swap or m.table[1] == 2
+        for table in fam.tables:
+            assert table[0] == 0
+            saw_swap = saw_swap or table[1] == 2
     assert saw_swap
 
 
@@ -198,7 +198,7 @@ def test_single_point_space_only_identity():
     cfg = sk.GeneratorConfig(seed=12)
     space = sk.uniform_space(("only",))
     fam = sk.generate_family(cfg, space, states=4, index=0)
-    assert all(list(m.table) == [0] for m in fam.maps)
+    assert fam.tables.tolist() == [[0]] * 4
 
 
 def test_generator_config_validation():
