@@ -9,6 +9,11 @@ check, the invariant basis, 300 Birkhoff limits and 300 Cesaro limits,
 checks every limit against the conditional expectation, and prints the
 times and the peak resident set size.
 
+A second part times the family-invariant partition at 10^6 (state, point)
+pairs: n = k = 1000, each map a random permutation within planted spans of
+points, one of them a zero-mass point. It checks the partition's labels
+against a breadth-first search over the orbit graph in pure Python.
+
 Run from the repository root:
 
     PYTHONPATH=src python scripts/scale_300.py
@@ -17,6 +22,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import resource
+import statistics
 import time
 
 import numpy as np
@@ -25,6 +31,9 @@ import stepskew as sk
 
 N = K = 300
 CUTS = [0, 30, 105, 180, 300]
+BIG = 1000
+BIG_CUTS = [0, 1, 2, 50, 300, 301, 700, 1000]
+ZERO_SPAN = (1, 2)  # a point of zero mass
 
 
 def build_system() -> sk.SkewSystem:
@@ -45,6 +54,61 @@ def build_system() -> sk.SkewSystem:
         tables.append(table)
     space = sk.FiniteMeasureSpace.create(range(K), mu / mu.sum())
     return sk.SkewSystem.create(spec, sk.TransformationFamily.create(space, tables))
+
+
+def build_big_family() -> sk.TransformationFamily:
+    spans = list(zip(BIG_CUTS, BIG_CUTS[1:]))
+    mu = np.ones(BIG)
+    mu[slice(*ZERO_SPAN)] = 0.0
+    rng = np.random.default_rng(1000)
+    tables = []
+    for _ in range(BIG):
+        table = np.arange(BIG)
+        for a, b in spans:
+            table[a:b] = a + rng.permutation(b - a)
+        tables.append(table)
+    space = sk.FiniteMeasureSpace.create(range(BIG), mu / mu.sum())
+    return sk.TransformationFamily.create(space, tables)
+
+
+def orbit_labels_by_search(family: sk.TransformationFamily) -> list[int]:
+    """Block of each point of positive mass, numbered by least member, -1
+    elsewhere: breadth-first search over the edges x -- T_y(x)."""
+    on = (family.space.mu.values > 0).tolist()
+    neighbours: list[set[int]] = [set() for _ in on]
+    for table in family.tables.tolist():
+        for x, image in enumerate(table):
+            if on[x]:
+                neighbours[x].add(image)
+                neighbours[image].add(x)
+    labels = [-1] * len(on)
+    count = 0
+    for start, member in enumerate(on):
+        if member and labels[start] < 0:
+            labels[start] = count
+            queue = [start]
+            for x in queue:
+                for nxt in neighbours[x]:
+                    if labels[nxt] < 0:
+                        labels[nxt] = count
+                        queue.append(nxt)
+            count += 1
+    return labels
+
+
+def time_big_family_partition() -> float:
+    """Median of 5 timed family_invariant_partition calls at 10^6 pairs,
+    after checking the labels against the search."""
+    family = build_big_family()
+    runs = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        part = sk.family_invariant_partition(family, range(BIG))
+        runs.append(time.perf_counter() - t0)
+    want = orbit_labels_by_search(family)
+    assert part.labels.tolist() == want, "family partition differs from the orbit-graph search"
+    assert part.n_blocks == len(BIG_CUTS) - 2, "expected one block per span of positive mass"
+    return statistics.median(runs)
 
 
 def main() -> None:
@@ -84,6 +148,7 @@ def main() -> None:
     print(f"total: {total:.4f} s")
     print(f"max_limit_error: {worst:.3e}")
     print(f"peak_rss_mb: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+    print(f"family_partition_1e6_median: {time_big_family_partition():.4f} s")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotMeasurePreserving, ValidationError
-from .graphs import DisjointSets, Partition, partition_from_blocks
+from .graphs import Partition, undirected_components
 from .kernels import EPS_SUM, ProbVector
 
 
@@ -140,14 +140,7 @@ def family_invariant_partition(family: TransformationFamily, active) -> Partitio
         if not 0 <= y < family.n_states:
             raise ValidationError(f"active state {y} out of range")
     supp = family.space.support
-    local = {int(x): k for k, x in enumerate(supp)}
-    dsu = DisjointSets(len(supp))
-    for y in act:
-        t = family.tables[y]
-        for x in supp:
-            dsu.union(local[int(x)], local[int(t[x])])
-    blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]
-    return partition_from_blocks(family.space.support_set, blocks)
+    return undirected_components(family.space.mu.values > 0, supp, family.tables[act][:, supp])
 
 
 def is_family_ergodic(family: TransformationFamily, active) -> bool:
@@ -167,10 +160,9 @@ def conditional_expectation(
         raise DimensionMismatch(
             f"function has shape {fv.shape}, expected ({family.space.k},)"
         )
-    mu = family.space.mu.values
+    labels = family_invariant_partition(family, active).labels
+    on = labels >= 0
+    w, block = family.space.mu.values[on], labels[on]
     out = np.zeros(family.space.k)
-    for block in family_invariant_partition(family, active).blocks:
-        idx = sorted(block)
-        w = mu[idx]
-        out[idx] = float(w @ fv[idx]) / float(w.sum())
+    out[on] = (np.bincount(block, weights=w * fv[on]) / np.bincount(block, weights=w))[block]
     return out

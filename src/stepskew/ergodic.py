@@ -134,11 +134,14 @@ def birkhoff_average(
     """Time average of f along the orbit of x driven by the first n path states."""
     fv = _checked_f_at(sys, f, x)
     n = _checked_count(n, "n", 1)
+    path = np.asarray(path)
+    if path.dtype.kind not in "iu":
+        raise ValidationError(f"path must hold integer state indices, got {path.dtype} entries")
     if n > len(path):
         raise ValidationError(f"need 1 <= n <= path length, got n={n}")
     tables = sys.family.tables.tolist()
     fl = list(fv)
-    pl = [int(s) for s in path[:n]]
+    pl = path[:n].tolist()
     bad = [s for s in pl if not 0 <= s < len(tables)]
     if bad:
         raise ValidationError(f"path state {bad[0]} is outside 0..{len(tables) - 1}")
@@ -199,15 +202,13 @@ def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
     the limit is the m-mixture of class averages over the classes met by x.
     """
     fv = _checked_f_at(sys, f, x)
-    report, mv = sys.closed_classes, sys.spec.m.values
-    averages: dict[int, float] = {}  # each class met by x, averaged once
-    total = 0.0
-    for y in sys.spec.support:
-        c = int(report.labels[y, x])
-        if c not in averages:
-            averages[c] = report.class_average(y, x, fv)
-        total += float(mv[y]) * averages[c]
-    return total
+    report, supp = sys.closed_classes, sys.spec.support
+    met = report.labels[supp, x]
+    averages = np.empty(len(report.class_masses))
+    for c, i in zip(*np.unique(met, return_index=True)):  # each class met once
+        averages[c] = report.class_average(supp[i], x, fv)
+    # Summed left to right, like a loop over the states.
+    return float(np.cumsum(sys.spec.m.values[supp] * averages[met])[-1])
 
 
 def cesaro_partial_averages(

@@ -36,11 +36,10 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    DisjointSets,
     Partition,
     closed_components,
     is_strongly_connected,
-    partition_from_blocks,
+    undirected_components,
 )
 
 # Entries below EPS_ZERO are structural zeros; snapped at ingestion.
@@ -237,11 +236,11 @@ def stationary_distribution(kernel: StochasticMatrix) -> ProbVector:
     vector. It is solved on the closed class and is 0 on transient states.
     """
     closed = closed_components(kernel.pattern)
-    if len(closed) > 1:
+    if closed.n_blocks > 1:
         raise MultipleStationary(
-            f"fixed space has dimension {len(closed)}; supply the stationary vector"
+            f"fixed space has dimension {closed.n_blocks}; supply the stationary vector"
         )
-    idx = sorted(closed[0])  # every row has mass, so some class is closed
+    idx = np.flatnonzero(closed.labels == 0)  # every row has mass, so some class is closed
     # K - I with each diagonal entry taken as minus its row's off-diagonal
     # sum: equal in exact arithmetic, and free of the cancellation in
     # k(i, i) - 1 that swamps weak couplings.
@@ -284,13 +283,10 @@ def reach_set(spec: MarkovSpec, b) -> ReachReport:
         raise ValidationError(f"target contains out-of-range states {sorted(bad)}")
     supp = spec.support
     pat = spec.kernel.pattern[np.ix_(supp, supp)]
-    local = {int(s): k for k, s in enumerate(supp)}
-    hit = np.zeros(len(supp), dtype=bool)
-    for i in target:
-        if i in local:
-            hit[local[i]] = True
+    hit = np.zeros(spec.n, dtype=bool)
+    hit[list(target)] = True
+    cur = hit[supp]
     layers: list[frozenset[int]] = []
-    cur = hit
     total = np.zeros(len(supp), dtype=bool)
     for _ in range(len(supp)):
         cur = pat @ cur  # y is in the next layer iff some successor is in cur
@@ -359,14 +355,10 @@ def reverse_kernel(spec: MarkovSpec) -> StochasticMatrix:
 
 def _linked_classes(spec: MarkovSpec, pat: np.ndarray) -> Partition:
     """Support states joined whenever one support row of pat holds both."""
-    supp = spec.support
-    dsu = DisjointSets(len(supp))
-    rows, cols = (a.tolist() for a in np.nonzero(pat[np.ix_(supp, supp)]))
-    for k in range(1, len(rows)):
-        if rows[k] == rows[k - 1]:  # neighbours within one row
-            dsu.union(cols[k - 1], cols[k])
-    blocks = [frozenset(int(supp[k]) for k in g) for g in dsu.groups()]
-    return partition_from_blocks(spec.support_set, blocks)
+    ground = spec.m.values > 0
+    rows, cols = np.nonzero(pat[ground] & ground)
+    same = rows[1:] == rows[:-1]  # neighbours within one row
+    return undirected_components(ground, cols[:-1][same], cols[1:][same])
 
 
 def sim_classes(spec: MarkovSpec) -> Partition:
@@ -398,10 +390,11 @@ def is_strictly_irreducible(spec: MarkovSpec) -> bool:
 
 
 def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
-    """The four characterization verdicts; the union-find routes are read
-    off the spec's sim and dual sim classes."""
+    """The four characterization verdicts; the labeller routes are read off
+    the spec's sim and dual sim classes. The Gram products run in float64
+    on BLAS: their entries are counts of at most n, so exact."""
     _, pat = spec.support_pattern()
-    p = pat.astype(np.int64)
+    p = pat.astype(np.float64)
     return {
         "sim": spec.sim.trivial,
         "dual_sim": spec.dual_sim.trivial,

@@ -186,8 +186,7 @@ def _fill_weights(rng: np.random.Generator, n: int, rows: list[list[int]]) -> np
     return kernel
 
 
-def _stationary_on_class(kernel: np.ndarray, block: frozenset[int]) -> np.ndarray:
-    idx = sorted(block)
+def _stationary_on_class(kernel: np.ndarray, idx: np.ndarray) -> np.ndarray:
     sub = StochasticMatrix.from_rows(kernel[np.ix_(idx, idx)])
     m_sub = stationary_distribution(sub)
     m = np.zeros(kernel.shape[0])
@@ -243,9 +242,9 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 if alternating:
                     m = stationary_distribution(sm).values
                 else:
-                    classes = closed_components(sm.pattern)
-                    m1 = _stationary_on_class(sm.values, classes[0])
-                    m2 = _stationary_on_class(sm.values, classes[1])
+                    classes = closed_components(sm.pattern).labels
+                    m1 = _stationary_on_class(sm.values, np.flatnonzero(classes == 0))
+                    m2 = _stationary_on_class(sm.values, np.flatnonzero(classes == 1))
                     alpha = rng.uniform(0.2, 0.8)
                     m = alpha * m1 + (1 - alpha) * m2
             else:
@@ -256,8 +255,8 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                     m = stationary_distribution(sm).values
                 except MultipleStationary:
                     closed = closed_components(sm.pattern)
-                    pick = closed[int(rng.integers(0, len(closed)))]
-                    m = _stationary_on_class(sm.values, pick)
+                    pick = int(rng.integers(0, closed.n_blocks))
+                    m = _stationary_on_class(sm.values, np.flatnonzero(closed.labels == pick))
             return validate_spec(sm, ProbVector.from_values(m))
         except (ValidationError, MultipleStationary):
             continue

@@ -50,7 +50,7 @@ from .errors import (
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, closed_components, partition_from_blocks
+from .graphs import Partition, closed_components
 from .kernels import (
     EPS_SUM,
     MarkovSpec,
@@ -119,30 +119,24 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
             f"product measure is not invariant for the pair chain ({inv_dev:.3e})"
         )
     active, points = spec.support, family.space.support
-    blocks, width = spec.sim.blocks, len(points)
-    block_of = np.empty(n, dtype=np.intp)
-    for b, block in enumerate(blocks):
-        block_of[list(block)] = b
+    state_block, width = spec.sim.labels, len(points)
     local = np.empty(k, dtype=np.intp)
     local[points] = np.arange(width)
     # Node (b, x) has index b * width + local[x]; nodes[i, j] is the node of
     # pair (active[i], points[j]). Row z's support lies in one block, so its
     # first successor names D_z.
-    nodes = block_of[active][:, None] * width + np.arange(width)
-    succ_block = block_of[spec.kernel.pattern[active].argmax(axis=1)]
-    size = len(blocks) * width
+    nodes = state_block[active][:, None] * width + np.arange(width)
+    succ_block = state_block[spec.kernel.pattern[active].argmax(axis=1)]
+    size = spec.sim.n_blocks * width
     adj = np.zeros((size, size), dtype=bool)
     adj[nodes, succ_block[:, None] * width + local[tables[active[:, None], points]]] = True
-    classes = closed_components(adj)
-    if sum(len(c) for c in classes) != size:
+    node_class = closed_components(adj).labels
+    if (node_class < 0).any():
         raise InternalInconsistency(
             "sim-block quotient has a transient class despite full-support stationarity"
         )
     # Nodes are ordered by (block, point) and blocks by their least state, so
     # the classes come numbered in the order of their first pair.
-    node_class = np.empty(size, dtype=np.intp)
-    for c, members in enumerate(classes):
-        node_class[list(members)] = c
     grid = np.full((n, k), -1, dtype=np.intp)
     grid[active[:, None], points] = node_class[nodes]
     grid.setflags(write=False)
@@ -165,14 +159,15 @@ class ErgodicityReport:
     numbered by their first pair in lexicographic order. Per class,
     class_masses and class_weights hold the product mass and the weights
     m(y) * mu(x) of its pairs (in lexicographic order) normalised within the
-    class, with their points. sections holds each class's point section when
-    every class is (all active states) x (a point section), else None.
+    class, with their points. When every class is (all active states) x (a
+    point section), sections is the partition of the points into those
+    sections, labelled by class; else it is None.
     """
 
     labels: np.ndarray
     class_masses: np.ndarray
     class_weights: tuple[tuple[np.ndarray, np.ndarray], ...]
-    sections: tuple[frozenset[int], ...] | None
+    sections: Partition | None
 
     @classmethod
     def of(cls, sys: SkewSystem) -> "ErgodicityReport":
@@ -187,12 +182,12 @@ class ErgodicityReport:
         masses = np.array(masses)
         masses.setflags(write=False)
         # A class is a product exactly when every point's column keeps one
-        # label over the active states.
-        points = sys.family.space.support
-        cols = labels[sys.spec.support][:, points]
+        # label over the active states; one active state's row then labels
+        # the points by section, numbered by least point.
+        rows = labels[sys.spec.support]
         sections = None
-        if (cols == cols[0]).all():
-            sections = tuple(frozenset(points[cols[0] == c].tolist()) for c in range(len(masses)))
+        if (rows == rows[0]).all():
+            sections = Partition(labels[sys.spec.support[0]], len(masses))
         return cls(labels, masses, tuple(class_weights), sections)
 
     @property
@@ -211,9 +206,11 @@ class ErgodicityReport:
 
     @cached_property
     def classes(self) -> Partition:
-        """The classes as sets of indices into pair_states."""
-        blocks = [idx.tolist() for idx in _pairs_by_class(self.labels)]
-        return partition_from_blocks(range(int((self.labels >= 0).sum())), blocks)
+        """The classes over the indices into pair_states: the grid's labels
+        of the active pairs, in lexicographic order."""
+        pair_class = self.labels[self.labels >= 0]
+        pair_class.setflags(write=False)
+        return Partition(pair_class, len(self.class_masses))
 
     def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
         """Product-weighted average of f over the closed class of pair (y, x)."""
@@ -264,8 +261,7 @@ def check_product_structure(sys: SkewSystem) -> bool:
     strictly irreducible driving kernel a False answer is impossible and
     raises TheoremViolation.
     """
-    sections = sys.closed_classes.sections
-    product = sections is not None and set(sections) == set(sys.family_partition.blocks)
+    product = sys.closed_classes.sections == sys.family_partition
     if not product and is_strictly_irreducible(sys.spec):
         raise TheoremViolation(
             "strictly irreducible driving kernel produced a non-product invariant "
@@ -299,26 +295,18 @@ def build_counterexample_family(spec: MarkovSpec) -> SkewSystem:
         raise NotApplicable("driving kernel is not irreducible")
     if is_strictly_irreducible(spec):
         raise NotApplicable("driving kernel is strictly irreducible")
-    b = spec.sim.blocks[0]
-    swap_states = set()
-    for y in spec.support:
-        row = set(int(z) for z in spec.kernel.row_support(int(y)))
-        stays_in_b = row <= b
-        if int(y) in b:
-            if not stays_in_b:
-                swap_states.add(int(y))  # leaves the deterministic set
-        else:
-            if stays_in_b:
-                swap_states.add(int(y))  # enters the deterministic set
+    in_b = spec.sim.labels == 0
+    stays_in_b = ~(spec.kernel.pattern & ~in_b).any(axis=1)
+    # A state in b whose row leaves b, or outside b whose row enters it.
+    supp = spec.support
+    swap_states = set(supp[in_b[supp] != stays_in_b[supp]].tolist())
     return SkewSystem.create(spec, _two_point_family(spec, swap_states))
 
 
 def counterexample_invariant_set(spec: MarkovSpec) -> frozenset[tuple[int, int]]:
     """The invariant pair set witnessing non-ergodicity for the family above."""
-    b = spec.sim.blocks[0]
-    return frozenset(
-        (int(y), 0) if int(y) in b else (int(y), 1) for y in spec.support
-    )
+    in_b = spec.sim.labels == 0
+    return frozenset((y, 0 if in_b[y] else 1) for y in spec.support.tolist())
 
 
 def build_base_counterexample(spec: MarkovSpec) -> SkewSystem:

@@ -44,8 +44,7 @@ def test_criterion_1_worked_example_reproduction():
     report = sk.is_skew_ergodic(sys_)
     assert not report.ergodic
     pos = {p: i for i, p in enumerate(report.pair_states)}
-    block = report.classes.block_of(pos[(0, 0)])  # (state "0", point "1")
-    k = report.classes.blocks.index(block)
+    k = report.classes.labels[pos[(0, 0)]]  # (state "0", point "1")
     assert abs(report.class_masses[k] - 1 / 3) <= 1e-12
     assert sk.is_irreducible(sys_.spec)
     assert not sk.is_strictly_irreducible(sys_.spec)

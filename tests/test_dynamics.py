@@ -152,7 +152,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
     # finest: every orbit edge stays inside one block and each block is a
     # single component of the orbit graph, so no strict refinement of the
     # blocks can be invariant
-    idx_of = part.block_index()
+    idx_of = part.labels
     neighbors: dict[int, set[int]] = {int(x): set() for x in supp}
     for y in range(3):
         t = family.tables[y]
@@ -207,6 +207,31 @@ def test_condexp_projection_and_mass(idx):
     assert np.abs(once - twice).max() <= 1e-12
     mu = space.mu.values
     assert abs(float(mu @ once) - float(mu @ f)) <= 1e-12
+
+
+def per_block_condexp(family, active, f) -> np.ndarray:
+    """The per-block loop: each invariant block gets mu @ f / mu.sum() over
+    its points, in index order."""
+    mu = family.space.mu.values
+    out = np.zeros(family.space.k)
+    for block in sk.family_invariant_partition(family, active).blocks:
+        idx = sorted(block)
+        out[idx] = float(mu[idx] @ f[idx]) / float(mu[idx].sum())
+    return out
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_condexp_matches_per_block_loop(idx):
+    cfg = sk.GeneratorConfig(seed=2224, n_points=(2, 40), family_style="mu-level-set-permutations")
+    space = sk.generate_space(cfg, index=idx)
+    family = sk.generate_family(cfg, space, states=3, index=idx)
+    f = np.random.default_rng(idx).normal(size=space.k)
+    got = sk.conditional_expectation(family, range(3), f)
+    # The two sum in different orders: each side rounds two sums of at most
+    # k terms, so they agree to within 2k ulps of max |f|.
+    bound = 2 * space.k * np.finfo(float).eps * np.abs(f).max()
+    assert np.abs(got - per_block_condexp(family, range(3), f)).max() <= bound
 
 
 def test_condexp_zero_off_support():

@@ -250,6 +250,13 @@ def test_birkhoff_rejects_off_support_start():
         sk.birkhoff_average(sys_, path, np.zeros(3), 2, 4)
 
 
+@pytest.mark.parametrize("path", [[0.9, 1.7, 0.2], [True, False, True]])
+def test_birkhoff_refuses_a_non_integer_path(bufetov_system, path):
+    # Truncated, [0.9, 1.7, 0.2] would be read as [0, 1, 0], averaging 2/3.
+    with pytest.raises(sk.ValidationError, match="integer state indices"):
+        sk.birkhoff_average(bufetov_system, np.array(path), IND1, 0, 3)
+
+
 @pytest.mark.parametrize("bad", [-1, 2, 5])
 def test_birkhoff_rejects_path_state_out_of_range(bufetov_system, bad):
     path = np.array([0, 1, bad, 0])

@@ -1,4 +1,5 @@
-"""Strongly connected components: the small-graph Tarjan path against scipy."""
+"""Strongly connected components: the small-graph Tarjan path against scipy;
+undirected components: the hooking labeller against a union-find."""
 
 from __future__ import annotations
 
@@ -14,6 +15,36 @@ from scipy.sparse.csgraph import connected_components
 from stepskew import graphs
 
 CROSSOVER = graphs.SMALL_SCC_MAX_NODES
+
+
+class DisjointSets:
+    """Union-find over range(n) with path halving: the labeller's oracle."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
+def union_find_labels(size, members, u, v) -> list[int]:
+    """Block of each index by union-find, blocks numbered by least member,
+    -1 off members."""
+    dsu = DisjointSets(size)
+    for a, b in zip(u, v):
+        dsu.union(int(a), int(b))
+    number: dict[int, int] = {}
+    member = set(int(i) for i in members)
+    return [number.setdefault(dsu.find(i), len(number)) if i in member else -1 for i in range(size)]
 
 
 def scipy_components(adj: np.ndarray) -> tuple[frozenset[int], ...]:
@@ -61,7 +92,8 @@ def test_small_path_matches_scipy(adj):
     want = scipy_components(adj)
     for small in (True, False):
         with _on_path(small):
-            assert graphs.strongly_connected_components(adj) == want
+            got = graphs.strongly_connected_components(adj)
+            assert got.blocks == want and got.n_blocks == len(want)
 
 
 @given(digraphs())
@@ -71,7 +103,13 @@ def test_closed_components_agree_on_both_paths(adj):
         small = graphs.closed_components(adj)
     with _on_path(False):
         large = graphs.closed_components(adj)
-    assert small == large
+    assert small.labels.tolist() == large.labels.tolist()
+    closed = set(small.blocks)
+    assert small.n_blocks == len(closed)
+    assert closed <= set(scipy_components(adj))
+    # every node outside the closed classes reaches out of its component
+    for block in set(scipy_components(adj)) - closed:
+        assert adj[sorted(block)][:, sorted(set(range(len(adj))) - block)].any()
 
 
 def _chained_cycles(n: int) -> np.ndarray:
@@ -100,15 +138,78 @@ def test_crossover_routes_by_node_count(n, small):
         graphs, "_scipy_components", wraps=graphs._scipy_components
     ) as scipy_path:
         got = graphs.strongly_connected_components(adj)
-    assert got == want
+    assert got.blocks == want
     assert (tarjan.call_count, scipy_path.call_count) == ((1, 0) if small else (0, 1))
-    assert graphs.closed_components(adj) == (want[-1],)
+    assert graphs.closed_components(adj).blocks == (want[-1],)
 
 
 def test_path_splits_and_closing_it_joins():
     n = CROSSOVER
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n - 1), np.arange(1, n)] = True
-    assert graphs._tarjan_components(adj) == tuple(frozenset({v}) for v in range(n))
+    assert graphs._tarjan_components(adj).blocks == tuple(frozenset({v}) for v in range(n))
     adj[n - 1, 0] = True
-    assert graphs._tarjan_components(adj) == (frozenset(range(n)),)
+    assert graphs._tarjan_components(adj).blocks == (frozenset(range(n)),)
+
+
+@st.composite
+def undirected_graphs(draw):
+    """(ground, u, v): up to 60 indices, a drawn subset of them as
+    members, and edges between members, so non-members, isolated members,
+    self-loops and repeated edges all occur; or a path through up to 2000
+    indices in shuffled order, which takes many hooking rounds."""
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=1, max_value=2000))
+        ids = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(size)
+        return np.ones(size, dtype=bool), ids[:-1], ids[1:]
+    size = draw(st.integers(min_value=0, max_value=60))
+    members = np.flatnonzero(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    if len(members):
+        ends = st.integers(min_value=0, max_value=len(members) - 1)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * size))
+    else:
+        edges = []
+    u = members[[a for a, _ in edges]].astype(np.intp)
+    v = members[[b for _, b in edges]].astype(np.intp)
+    ground = np.zeros(size, dtype=bool)
+    ground[members] = True
+    return ground, u, v
+
+
+@given(undirected_graphs())
+@settings(max_examples=300, deadline=None)
+def test_labeller_matches_union_find(graph):
+    ground, u, v = graph
+    members = np.flatnonzero(ground)
+    want = union_find_labels(len(ground), members, u, v)
+    for small in (True, False):  # every round by plain assignment, or none
+        with mock.patch.object(graphs, "SMALL_HOOK_MAX_EDGES", 10**9 if small else -1):
+            part = graphs.undirected_components(ground, u, v)
+        assert part.labels.tolist() == want
+        assert not part.labels.flags.writeable
+        assert part.n_blocks == len(part.blocks)
+        assert sorted(i for b in part.blocks for i in b) == members.tolist()
+
+
+def test_labeller_on_a_shuffled_path_and_a_star():
+    # Shuffled ids on a long path take many hooking rounds; in a star whose
+    # centre is the largest id, every leaf's root meets the centre's.
+    rng = np.random.default_rng(7)
+    n = 5000
+    ids = rng.permutation(n)
+    ground = np.ones(n, dtype=bool)
+    path = graphs.undirected_components(ground, ids[:-1], ids[1:])
+    assert path.labels.tolist() == [0] * n
+    u, v = np.delete(ids[:-1], 99), np.delete(ids[1:], 99)
+    cut = graphs.undirected_components(ground, u, v)
+    assert cut.labels.tolist() == union_find_labels(n, range(n), u, v)
+    assert cut.n_blocks == 2
+    star = graphs.undirected_components(ground, np.full(n - 1, n - 1), np.arange(n - 1))
+    assert star.trivial and star.n_blocks == 1
+
+
+def test_empty_graph_and_partition():
+    part = graphs.undirected_components(np.zeros(0, dtype=bool), np.arange(0), np.arange(0))
+    assert part.labels.tolist() == [] and part.n_blocks == 0 and part.blocks == ()
+    assert graphs.strongly_connected_components(np.zeros((0, 0), dtype=bool)).blocks == ()
+    assert not graphs.is_strongly_connected(np.zeros((0, 0), dtype=bool))

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import stepskew as sk
 from conftest import spec_of
+from stepskew.graphs import is_strongly_connected
 
 GEN = sk.GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
+WIDE_GEN = sk.GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degenerate_bias=0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,20 @@ def test_four_routes_agree(idx):
     routes = sk.strict_irreducibility_routes(spec)
     assert len(set(routes.values())) == 1
     assert sk.is_strictly_irreducible(spec) == routes["sim"]
+
+
+@given(st.integers(min_value=0, max_value=2000), st.sampled_from([GEN, WIDE_GEN]))
+@settings(max_examples=80, deadline=None)
+def test_gram_routes_in_float64_match_int64(idx, cfg):
+    # The Gram entries count common successors (or predecessors), at most n,
+    # so float64 holds them exactly and the patterns cannot differ.
+    spec = sk.generate_spec(cfg, index=idx)
+    _, pat = spec.support_pattern()
+    p, q = pat.astype(np.int64), pat.astype(np.float64)
+    assert ((q.T @ q) == (p.T @ p)).all() and ((q @ q.T) == (p @ p.T)).all()
+    routes = sk.strict_irreducibility_routes(spec)
+    assert routes["gram"] == is_strongly_connected((p.T @ p) > 0)
+    assert routes["dual_gram"] == is_strongly_connected((p @ p.T) > 0)
 
 
 def test_spec_caches_its_sim_partitions_and_routes(period2_spec):

@@ -21,7 +21,7 @@ from conftest import (
     system_of,
     union_closure,
 )
-from stepskew.graphs import closed_components, partition_from_blocks
+from stepskew.graphs import Partition, closed_components
 
 GEN = sk.GeneratorConfig(
     seed=3333, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
@@ -44,7 +44,7 @@ def whole_matrix_fixed_dim(kernel: np.ndarray) -> int:
 
 
 def oracle_classes(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...]:
-    return closed_components(reference_pair_kernel(sys_) > 0)
+    return closed_components(reference_pair_kernel(sys_) > 0).blocks
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,10 @@ def counted_sections(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...] | None:
     return tuple(sections)
 
 
+def section_blocks(report: sk.ErgodicityReport) -> tuple[frozenset[int], ...] | None:
+    return None if report.sections is None else report.sections.blocks
+
+
 @given(**QUOTIENT_SYSTEMS)
 @settings(max_examples=150, deadline=None)
 def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
@@ -145,7 +149,7 @@ def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
     for c, block in enumerate(analysis.classes.blocks):
         assert {analysis.labels[want[i]] for i in block} == {c}
     assert (analysis.labels >= 0).sum() == len(want)
-    assert analysis.sections == counted_sections(sys_)
+    assert section_blocks(analysis) == counted_sections(sys_)
 
 
 @given(**QUOTIENT_SYSTEMS)
@@ -162,15 +166,23 @@ def test_pair_step_matches_double_loop_kernel(idx, zero_points, identity_share):
     assert (stepped[~active] == 0).all()
 
 
-def test_limits_and_basis_leave_pair_lists_unbuilt(bufetov_system):
-    sys_ = sk.SkewSystem.create(bufetov_system.spec, bufetov_system.family)
-    f = np.array([1.0, 0.0, 2.0])
-    sk.invariant_function_basis(sys_)
-    sk.check_product_structure(sys_)
-    sk.exact_birkhoff_limit(sys_, 0, 1, f)
-    sk.exact_cesaro_limit(sys_, f, 2)
-    assert "pair_states" not in vars(sys_.closed_classes)
-    assert "classes" not in vars(sys_.closed_classes)
+def test_limits_and_basis_leave_pair_lists_unbuilt(bufetov_system, rotation_system):
+    # On fresh copies. bufetov_period2 is not product-structured, so its
+    # product check reads the strict routes; bernoulli_rotation's compares
+    # the sections with the invariant partition.
+    for base in (bufetov_system, rotation_system):
+        spec = spec_of(base.spec.kernel.values, base.spec.m.values)
+        sys_ = sk.SkewSystem.create(spec, base.family)
+        f = np.arange(1.0, base.family.space.k + 1)
+        sk.invariant_function_basis(sys_)
+        sk.check_product_structure(sys_)
+        sk.exact_birkhoff_limit(sys_, 0, 1, f)
+        sk.exact_cesaro_limit(sys_, f, base.family.space.k - 1)
+        assert "pair_states" not in vars(sys_.closed_classes)
+        assert "classes" not in vars(sys_.closed_classes)
+        # No partition has built its frozenset blocks: they read labels only.
+        partitions = [spec.sim, spec.dual_sim, sys_.family_partition, sys_.closed_classes.sections]
+        assert all("blocks" not in vars(part) for part in partitions if part is not None)
 
 
 def test_pair_chain_skips_zero_mass_states_and_points():
@@ -187,7 +199,7 @@ def test_closed_classes_rejects_transient_pairs():
     # Each row then names its successor block by its first successor only,
     # so no edge enters the nodes of states 1 and 3: they are transient.
     spec = spec_of(FOUR_STATE_BLOCK, [0.25] * 4)
-    spec.__dict__["sim"] = partition_from_blocks(range(4), [{0}, {1}, {2}, {3}])
+    spec.__dict__["sim"] = Partition(np.arange(4), 4)
     sys_ = system_of(spec, [[1, 0]] * 4)
     with pytest.raises(sk.InternalInconsistency, match="transient"):
         sys_.closed_classes
@@ -258,7 +270,7 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
     report = sk.is_skew_ergodic(sys_)
     assert len(report.pair_states) == n * k
     assert len(report.classes.blocks) == 4
-    assert set(report.sections) == blocks
+    assert set(report.sections.blocks) == blocks
     assert sk.check_product_structure(sys_)
     assert len(sk.invariant_function_basis(sys_)) == 4
     f = rng.random(k)
@@ -276,8 +288,8 @@ def test_skew_not_ergodic_with_third_mass_class(bufetov_system):
     report = sk.is_skew_ergodic(bufetov_system)
     assert not report.ergodic
     pos = {p: i for i, p in enumerate(report.pair_states)}
-    target = report.classes.block_of(pos[(0, 0)])  # driving state 0, point "1"
-    k = report.classes.blocks.index(target)
+    k = report.classes.labels[pos[(0, 0)]]  # driving state 0, point "1"
+    target = report.classes.blocks[k]
     assert report.class_masses[k] == pytest.approx(1 / 3, abs=1e-12)
     assert {report.pair_states[i] for i in target} == {(0, 0), (1, 1)}
     assert not report.product_structured
@@ -356,7 +368,7 @@ def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
     # one fixed direction per closed class (Perron-Frobenius on each)
     kernel = reference_pair_kernel(sys_)
     assert whole_matrix_fixed_dim(kernel) == len(sys_.closed_classes.class_masses)
-    assert sys_.closed_classes.sections == counted_sections(sys_)
+    assert section_blocks(sys_.closed_classes) == counted_sections(sys_)
 
 
 def test_per_class_fixed_dim_planted_three_classes():
@@ -417,7 +429,7 @@ def test_counterexample_period2_both_swap(period2_spec):
     mass = sum(float(sys_.spec.m.values[y] * mu[x]) for y, x in witness)
     assert mass == pytest.approx(0.5, abs=1e-12)
     # the witness is a union of closed classes
-    blocks = {report.classes.block_of(pos[p]) for p in witness}
+    blocks = {report.classes.blocks[report.classes.labels[pos[p]]] for p in witness}
     assert {i for b in blocks for i in b} == {pos[p] for p in witness}
 
 
