@@ -14,6 +14,13 @@ pairs: n = k = 1000, each map a random permutation within planted spans of
 points, one of them a zero-mass point. It checks the partition's labels
 against a breadth-first search over the orbit graph in pure Python.
 
+A third part times the M_j dynamic program on a generated system of 8
+states and 64 points: the Cesaro partial means to 10^6 steps and M_n at
+n = 10^12. A plain per-step loop over the first 10^4 steps, which keeps
+each mass grid's bytes until one repeats, checks both bit for bit: the
+partial means at the horizons it reaches, and M_n for n = 10^12 .. 10^12 + 7
+at the indices they reduce to on the cycle it finds.
+
 Run from the repository root:
 
     PYTHONPATH=src python scripts/scale_300.py
@@ -111,6 +118,54 @@ def time_big_family_partition() -> float:
     return statistics.median(runs)
 
 
+DP_CONFIG = sk.GeneratorConfig(
+    seed=864, n_states=(8, 8), n_points=(64, 64), sparsity=3.0, degenerate_bias=1.0
+)
+DP_INDEX = 20  # all 8 states on the support; M_j f(x) takes 123 values on its cycle
+DP_LOOP = 10**4
+DP_HORIZONS = [10, 100, DP_LOOP, 10**6]
+DP_N = 10**12
+
+
+def time_dp() -> dict[str, float]:
+    """Time the Cesaro partial means to 10^6 and M_n at 10^12, after
+    checking both against a per-step loop over the first DP_LOOP steps."""
+    spec = sk.generate_spec(DP_CONFIG, DP_INDEX)
+    space = sk.generate_space(DP_CONFIG, DP_INDEX)
+    sys_ = sk.SkewSystem.create(
+        spec, sk.generate_family(DP_CONFIG, space, states=spec.n, index=DP_INDEX)
+    )
+    f = np.random.default_rng(8).random(space.k)
+    x = int(space.support[0])
+    times = {}
+    t0 = time.perf_counter()
+    partial = sk.cesaro_partial_averages(sys_, f, x, DP_HORIZONS)
+    times["cesaro_partial_1e6"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    m_n = [sk.expectation_operator(sys_, f, x, n) for n in range(DP_N, DP_N + 8)]
+    times["expectation_operator_1e12_x8"] = time.perf_counter() - t0
+
+    grid = np.zeros((spec.n, space.k))
+    grid[:, x] = spec.m.values
+    seen: dict[bytes, int] | None = {}
+    values, total = [], 0.0
+    for j in range(DP_LOOP):
+        if seen is not None:
+            first = seen.setdefault(grid.tobytes(), j)
+            if first < j:
+                cycle, seen = (first, j - first), None
+        values.append(float(grid.sum(axis=0) @ f))
+        total += values[-1]
+        if j + 1 in DP_HORIZONS:
+            assert partial[j + 1] == total / (j + 1), f"Cesaro partial mean differs at {j + 1}"
+        grid = sys_._pair_step(grid)
+    assert seen is None, f"the mass grid does not repeat within {DP_LOOP} steps"
+    start, period = cycle
+    want = [values[start + (n - start) % period] for n in range(DP_N, DP_N + 8)]
+    assert m_n == want, "M_n differs from the loop's cycle"
+    return times
+
+
 def main() -> None:
     start = time.perf_counter()
     sys_ = build_system()
@@ -149,6 +204,8 @@ def main() -> None:
     print(f"max_limit_error: {worst:.3e}")
     print(f"peak_rss_mb: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
     print(f"family_partition_1e6_median: {time_big_family_partition():.4f} s")
+    for name, seconds in time_dp().items():
+        print(f"{name}: {seconds:.4f} s")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from . import ergodic
 from .config import SystemConfig
 from .dynamics import FiniteMeasureSpace, TransformationFamily
-from .errors import NotApplicable, ParseError, ValidationError
+from .errors import NotApplicable, ParseError, TooLarge, ValidationError
 from .gallery import gallery_config
 from .kernels import (
     MarkovSpec,
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
             else:
                 _sys.stdout.write(csv)
         return 0
-    except (ParseError, ValidationError, OSError) as e:
+    except (ParseError, ValidationError, TooLarge, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
 

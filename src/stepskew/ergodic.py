@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, StartOffSupport, ValidationError
+from .errors import DimensionMismatch, StartOffSupport, TooLarge, ValidationError
 from .kernels import MarkovSpec, _is_index
 from .skew import SkewSystem
 
@@ -44,8 +44,16 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
 
 
 _CHUNK = 4096  # uniforms drawn per stream at a time
+_UNIFORMS = 1 << 22  # uniforms held at once over all streams (32 MB)
 _VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
 _DP_BLOCK = 1 << 16  # (state, point) masses held per block of DP steps
+
+# Caps, checked before anything is allocated or sampled. A horizon costs 8
+# bytes per step in the DP's values and in a sampled path, each trial holds
+# a saved generator state, and horizon x trials is the sampler's work.
+MAX_HORIZON = 10**6
+MAX_TRIALS = 10**4
+MAX_TRIAL_STEPS = 2 * 10**8
 
 
 def _checked_count(value, what: str, least: int) -> int:
@@ -57,12 +65,21 @@ def _checked_count(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _checked_horizon(value, what: str, least: int = 1) -> int:
+    """value as a count >= least, refused with TooLarge above MAX_HORIZON."""
+    value = _checked_count(value, what, least)
+    if value > MAX_HORIZON:
+        raise TooLarge(f"{what} {value} exceeds MAX_HORIZON = {MAX_HORIZON}")
+    return value
+
+
 def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, steps: int):
     """Driving states at steps 0 .. steps-1, one (len(streams),) array per step.
 
     Each stream spends its uniforms in a pinned order: one for the initial
     state from m (none when start fixes it), then one per step for the row
-    draw, taken in chunks of at most _CHUNK and never more than the steps
+    draw, taken in chunks of at most _CHUNK (fewer when many streams would
+    hold more than _UNIFORMS at once) and never more than the steps
     still to go. Stream s yields the same states whatever the other streams.
     """
     if start is not None:
@@ -83,13 +100,14 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
     lead = int(start is None)  # column 0 of the first chunk draws the initial state
     if start is not None:
         states = np.full(len(positions), start, dtype=np.int64)
-    u = np.empty((len(positions), min(_CHUNK, steps) + lead))
-    for done in range(0, steps, _CHUNK):
-        width = min(_CHUNK, steps - done) + lead
+    chunk = min(_CHUNK, max(_UNIFORMS // len(positions), 1))
+    u = np.empty((len(positions), min(chunk, steps) + lead))
+    for done in range(0, steps, chunk):
+        width = min(chunk, steps - done) + lead
         for i, row in enumerate(u):
             bg.state = positions[i]
             draw(out=row[:width])
-            if done + _CHUNK < steps:
+            if done + chunk < steps:
                 positions[i] = bg.state
         if lead:
             states = (m_cum <= u[:, :1]).sum(axis=1)
@@ -109,7 +127,7 @@ def sample_path(
     """Driving path of the given length on one substream: the initial state
     from m (or fixed by start), then one row draw per step. Identical seed,
     start and stream reproduce the identical path."""
-    length = _checked_count(length, "path length", 0)
+    length = _checked_horizon(length, "path length", 0)
     steps = _driving_states(spec, seed, [stream], start, length)
     return np.array([states[0] for states in steps], dtype=np.int64)
 
@@ -165,33 +183,66 @@ def exact_birkhoff_limit(sys: SkewSystem, y: int, x: int, f) -> float:
 
 def expectation_operator(sys: SkewSystem, f, x: int, n: int) -> float:
     """Average of f over the n-th random iterate of x, by exact dynamic
-    programming on (state, point) mass."""
+    programming on (state, point) mass.
+
+    Any n is answered once the mass grid cycles; an n of MAX_HORIZON or more
+    with no cycle within MAX_HORIZON steps raises TooLarge.
+    """
     fv = _checked_f_at(sys, f, x)
     n = _checked_count(n, "n", 0)
-    return float(_iterate_means(sys, fv, x, n + 1)[n])
+    values, start = _iterate_means(sys, fv, x, min(n + 1, MAX_HORIZON))
+    if n < len(values):
+        return float(values[n])
+    if start is None:
+        raise TooLarge(f"n = {n}: no cycle of the DP within MAX_HORIZON = {MAX_HORIZON} steps")
+    return float(values[start + (n - start) % (len(values) - start)])
 
 
-def _iterate_means(sys: SkewSystem, fv: np.ndarray, x: int, steps: int) -> np.ndarray:
+def _iterate_means(
+    sys: SkewSystem, fv: np.ndarray, x: int, steps: int
+) -> tuple[np.ndarray, int | None]:
     """M_j f(x) for j = 0 .. steps-1: the (state, point) mass starts as m on
     the states, all at point x, and takes one pair-chain step per j.
 
-    Consecutive masses fill one block of about _DP_BLOCK entries; each block
-    is summed to fiber marginals and dotted with f in one vecdot, which uses
-    the kernel of a 1-D dot, so every value has the per-step bits.
+    Returns (values, start). start is None when values holds all `steps`
+    values. Otherwise the mass grid at step len(values) equals, bit for bit,
+    the grid at step start; `_pair_step` does the same float operations at
+    every step, so every later grid, and every later value, repeats with
+    period len(values) - start.
+
+    Consecutive masses fill blocks of 1, 2, 4, ... steps, at most about
+    _DP_BLOCK entries; each block is summed to fiber marginals and dotted
+    with f in one vecdot, which uses the kernel of a 1-D dot, so every value
+    has the per-step bits. The cycle is found as in Brent's algorithm: each
+    block's grids are compared, as raw bits, with one saved grid, which is
+    renewed to a block's last grid whenever the step count has doubled since
+    the last renewal.
     """
     n, k = sys.spec.n, sys.family.space.k
-    block = np.empty((min(max(_DP_BLOCK // (n * k), 1), steps), n, k))
+    cap = max(_DP_BLOCK // (n * k), 1)
+    block = np.empty((min(cap, steps), n, k))
     block[0] = 0.0
     block[0, :, int(x)] = sys.spec.m.values
-    values = np.empty(steps)
-    for done in range(0, steps, len(block)):
+    bits = block.reshape(len(block), -1).view(np.int64)
+    parts, saved, saved_at = [], None, 0
+    done, width = 0, 1
+    while done < steps:
         if done:
-            sys._pair_step(block[-1], out=block[0])
-        width = min(len(block), steps - done)
+            sys._pair_step(block[width - 1], out=block[0])
+            width = min(2 * width, cap, steps - done)
         for i in range(1, width):
             sys._pair_step(block[i - 1], out=block[i])
-        values[done : done + width] = np.vecdot(block[:width].sum(axis=1), fv)
-    return values
+        if saved is not None:
+            same = (bits[:width] == saved).all(axis=1)
+            if same.any():
+                hit = int(same.argmax())
+                parts.append(np.vecdot(block[:hit].sum(axis=1), fv))
+                return np.concatenate(parts), saved_at
+        parts.append(np.vecdot(block[:width].sum(axis=1), fv))
+        done += width
+        if saved is None or done >= 2 * (saved_at + 1):
+            saved, saved_at = bits[width - 1].copy(), done - 1
+    return np.concatenate(parts), None
 
 
 def exact_cesaro_limit(sys: SkewSystem, f, x: int) -> float:
@@ -217,12 +268,29 @@ def cesaro_partial_averages(
     """Iterative partial Cesaro means (1/n) sum_{j<n} M_j f(x) at each horizon."""
     hs = _checked_horizons(horizons)
     fv = _checked_f_at(sys, f, x)
-    sums = np.cumsum(_iterate_means(sys, fv, x, hs[-1]))  # left to right, like a loop
+    values = _tiled(*_iterate_means(sys, fv, x, hs[-1]), hs[-1])
+    sums = np.cumsum(values)  # left to right, like a loop
     return {n: float(sums[n - 1]) / n for n in hs}
 
 
+def _tiled(values: np.ndarray, start: int | None, steps: int) -> np.ndarray:
+    """The first `steps` values, with the cycle values[start:] repeated to
+    fill them, by copies that double in length."""
+    if start is None:
+        return values
+    out = np.empty(steps)
+    filled, period = len(values), len(values) - start
+    out[:filled] = values
+    while filled < steps:
+        shift = (filled - start) // period * period
+        width = min(shift, steps - filled)
+        out[filled : filled + width] = out[filled - shift : filled - shift + width]
+        filled += width
+    return out
+
+
 def _checked_horizons(horizons) -> list[int]:
-    hs = [_checked_count(h, "horizon", 1) for h in horizons]
+    hs = [_checked_horizon(h, "horizon") for h in horizons]
     if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("horizons must be a strictly increasing list of counts >= 1")
     return hs
@@ -246,6 +314,12 @@ def orbit_occupancy(
     """
     hs = _checked_horizons(checkpoints)
     trials = _checked_count(trials, "trials", 1)
+    if trials > MAX_TRIALS:
+        raise TooLarge(f"trials {trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+    if hs[-1] * trials > MAX_TRIAL_STEPS:
+        raise TooLarge(
+            f"horizon {hs[-1]} x trials {trials} exceeds MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}"
+        )
     family = sys.family
     x_arr = np.asarray(x0)
     if x_arr.dtype.kind not in "iu":

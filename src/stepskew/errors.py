@@ -59,7 +59,8 @@ class NotApplicable(ValueError):
 
 
 class TooLarge(ValueError):
-    """Instance exceeds the enumeration cap of a brute-force routine."""
+    """Instance exceeds a named size cap: a brute-force routine's enumeration
+    cap, or a horizon or trial count of the ergodic routines."""
 
 
 class GenerationFailed(RuntimeError):

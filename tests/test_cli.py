@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import stepskew as sk
+import stepskew.ergodic as ergodic
 from stepskew.cli import (
+    DEFAULT_HORIZONS,
+    DEFAULT_TRIALS,
     cmd_check,
     cmd_simulate,
     cmd_skew,
@@ -222,6 +225,34 @@ def test_simulate_bad_flags_fail_cleanly(tmp_path, capsys, flags, needle):
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, cap",
+    [
+        (["--horizons", "1,100000000000"], "MAX_HORIZON"),
+        (["--horizons", "10,100000", "--trials", "10000"], "MAX_TRIAL_STEPS"),
+        (["--trials", "1000000000"], "MAX_TRIALS"),
+    ],
+)
+def test_simulate_beyond_a_cap_fails_before_sampling(tmp_path, capsys, monkeypatch, flags, cap):
+    def refuse(*args):
+        raise AssertionError("the sampler started")
+
+    monkeypatch.setattr(ergodic, "_driving_states", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(render_config(gallery_config("bufetov_period2")))
+    code = main(["simulate", str(path)] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and cap in err
+    assert "Traceback" not in err
+
+
+def test_default_simulate_is_well_under_the_caps():
+    assert DEFAULT_HORIZONS[-1] * 10 <= ergodic.MAX_HORIZON
+    assert DEFAULT_TRIALS * 10 <= ergodic.MAX_TRIALS
+    assert DEFAULT_HORIZONS[-1] * DEFAULT_TRIALS * 10 <= ergodic.MAX_TRIAL_STEPS
 
 
 def test_main_simulate_writes_identical_csv(tmp_path):

@@ -216,6 +216,29 @@ def test_sampler_draws_are_the_substreams(steps, start, seed, streams):
         assert got == sk.substream(seed, s).random(steps + (start is None)).tolist()
 
 
+@pytest.mark.parametrize("uniforms", [1, 6, 17, 64])
+@pytest.mark.parametrize("start", [None, 0])
+def test_uniform_budget_shrinks_chunks_not_draws(uniforms, start):
+    # six streams share the budget: each draws at most uniforms // 6 (at
+    # least 1) per chunk, plus its initial state, and walks the same states
+    import stepskew.ergodic as ergodic
+
+    real, widths = np.random.Generator, []
+
+    class Recording(real):
+        def random(self, out):
+            widths.append(len(out))
+            return super().random(out=out)
+
+    want = [s.tolist() for s in ergodic._driving_states(ROW_RULE_SPEC, 3, range(6), start, 40)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_UNIFORMS", uniforms)
+        mp.setattr(np.random, "Generator", Recording)
+        got = [s.tolist() for s in ergodic._driving_states(ROW_RULE_SPEC, 3, range(6), start, 40)]
+    assert got == want
+    assert max(widths) == max(uniforms // 6, 1) + (start is None)
+
+
 # ---------------------------------------------------------------------------
 # birkhoff_average
 # ---------------------------------------------------------------------------
@@ -357,11 +380,39 @@ def point_marginals(sys_, x):
     """The per-step DP the blocked one replaced, kept as its oracle: fiber
     marginals of the (state, point) mass after j = 0, 1, 2, ... steps,
     started from m on the states and all mass at x."""
+    for grid in mass_grids(sys_, x):
+        yield grid.sum(axis=0)
+
+
+def mass_grids(sys_, x):
     p = np.zeros((sys_.spec.n, sys_.family.space.k))
     p[:, x] = sys_.spec.m.values
     while True:
-        yield p.sum(axis=0)
+        yield p
         p = sys_._pair_step(p)
+
+
+def first_repeat(sys_, x, limit):
+    """(start, period) of the first per-step grid whose bytes equal those of
+    an earlier grid, found by keeping every grid; None within limit steps."""
+    seen = {}
+    for j, grid in zip(range(limit), mass_grids(sys_, x)):
+        key = grid.tobytes()
+        if key in seen:
+            return seen[key], j - seen[key]
+        seen[key] = j
+    return None
+
+
+def oracle_values(sys_, f, x, horizon):
+    """M_j f(x) for j < horizon from the per-step oracle, and the partial
+    Cesaro means summed left to right."""
+    values, partial, acc = [], [], 0.0
+    for j, marginal in zip(range(horizon), point_marginals(sys_, x)):
+        values.append(float(marginal @ f))
+        acc += values[-1]
+        partial.append(acc / (j + 1))
+    return values, partial
 
 
 @given(
@@ -372,7 +423,8 @@ def point_marginals(sys_, x):
 )
 @settings(max_examples=40, deadline=None)
 def test_blocked_dp_matches_per_step_dp(idx, zero_points, block, data):
-    # block of B steps; horizons 1, B-1, B, B+1 and 2B+1 straddle its edges
+    # block of B steps; horizons 1, B-1, B, B+1 and 2B+1 straddle its edges,
+    # and a last one runs three periods past the block where the cycle is found
     import stepskew.ergodic as ergodic
 
     spec = sk.generate_spec(GEN, index=idx)
@@ -386,16 +438,70 @@ def test_blocked_dp_matches_per_step_dp(idx, zero_points, block, data):
     x = data.draw(st.sampled_from([int(p) for p in space.support]))
     f = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=k, max_size=k)))
     horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1} - {0})
-    values, acc, partial = [], 0.0, {}
-    for j, marginal in zip(range(horizons[-1]), point_marginals(sys_, x)):
-        values.append(float(marginal @ f))
-        acc += values[-1]
-        if j + 1 in horizons:
-            partial[j + 1] = acc / (j + 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_DP_BLOCK", block * spec.n * k)
-        assert sk.cesaro_partial_averages(sys_, f, x, horizons) == partial
-        assert [sk.expectation_operator(sys_, f, x, n) for n in range(len(values))] == values
+        found, cycle = ergodic._iterate_means(sys_, f, x, 5000)
+        if cycle is not None:
+            period = len(found) - cycle
+            # the first bitwise repeat of the per-step grids has the same
+            # period and starts no later
+            repeat = first_repeat(sys_, x, len(found) + 1)
+            assert repeat is not None and repeat[1] == period and repeat[0] <= cycle
+            horizons.append(max(len(found) + 3 * period + block, horizons[-1] + 1))
+        values, partial = oracle_values(sys_, f, x, horizons[-1])
+        assert sk.cesaro_partial_averages(sys_, f, x, horizons) == {
+            n: partial[n - 1] for n in horizons
+        }
+        ns = list(range(2 * block + 1))
+        if cycle is not None:  # either side of the detection and the last step
+            ns += [len(found) - 1, len(found), len(found) + 1, horizons[-1] - 1]
+        assert [sk.expectation_operator(sys_, f, x, n) for n in ns] == [values[n] for n in ns]
+
+
+def test_dp_without_a_cycle_matches_per_step_dp():
+    # a 2-state kernel whose mass grid drifts by ulps and does not repeat
+    # within the horizon, run one step per block
+    import stepskew.ergodic as ergodic
+
+    spec = sk.generate_spec(GEN, index=359)
+    space = sk.generate_space(GEN, index=359)
+    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=359))
+    f, x, horizon = np.array([0.25, -1.5]), 0, 600
+    assert first_repeat(sys_, x, horizon) is None
+    values, partial = oracle_values(sys_, f, x, horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_DP_BLOCK", spec.n * space.k)
+        assert ergodic._iterate_means(sys_, f, x, horizon)[1] is None
+        horizons = [1, 2, 299, horizon]
+        assert sk.cesaro_partial_averages(sys_, f, x, horizons) == {
+            n: partial[n - 1] for n in horizons
+        }
+        assert [sk.expectation_operator(sys_, f, x, n) for n in (0, 1, horizon - 1)] == [
+            values[0], values[1], values[-1]
+        ]
+        # beyond the horizon cap without a cycle there is no answer
+        mp.setattr(ergodic, "MAX_HORIZON", horizon)
+        with pytest.raises(sk.TooLarge, match="MAX_HORIZON"):
+            sk.expectation_operator(sys_, f, x, 10**12)
+
+
+@pytest.mark.parametrize("one_step_blocks", [False, True])
+@pytest.mark.parametrize("name", ["bufetov_system", "rotation_system"])
+def test_mn_at_a_trillion_reads_the_cycle(request, monkeypatch, name, one_step_blocks):
+    # with one step per block, a period longer than a block is found only
+    # because the saved grid is renewed as the step count doubles
+    import stepskew.ergodic as ergodic
+
+    sys_ = request.getfixturevalue(name)
+    if one_step_blocks:
+        monkeypatch.setattr(ergodic, "_DP_BLOCK", sys_.spec.n * sys_.family.space.k)
+    f = np.array([2.0, -1.0, 0.5])
+    start, period = first_repeat(sys_, 0, 1000)
+    values, _ = oracle_values(sys_, f, 0, start + period)
+    n = 10**12
+    assert sk.expectation_operator(sys_, f, 0, n) == values[start + (n - start) % period]
+    monkeypatch.setattr(ergodic, "MAX_HORIZON", 4 * (start + period) + 8)
+    assert sk.expectation_operator(sys_, f, 0, n) == values[start + (n - start) % period]
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +705,39 @@ def test_numpy_integer_counts_are_taken(rotation_system, entry):
     assert repr(COUNT_ENTRY_POINTS[entry](rotation_system, np.int64(3))) == repr(
         COUNT_ENTRY_POINTS[entry](rotation_system, 3)
     )
+
+
+CAPPED_CALLS = {
+    "horizon": lambda s, e: sk.cesaro_partial_averages(s, IND1, 0, [10, e.MAX_HORIZON + 1]),
+    "checkpoint": lambda s, e: sk.orbit_occupancy(
+        s, seed=1, trials=2, checkpoints=[e.MAX_HORIZON + 1], x0=0
+    ),
+    "length": lambda s, e: sk.sample_path(s.spec, seed=1, length=e.MAX_HORIZON + 1),
+    "trials": lambda s, e: sk.orbit_occupancy(
+        s, seed=1, trials=e.MAX_TRIALS + 1, checkpoints=[3], x0=0
+    ),
+    "trial_steps": lambda s, e: sk.convergence_report(
+        s, IND1, 0, seed=1, horizons=[e.MAX_HORIZON],
+        trials=e.MAX_TRIAL_STEPS // e.MAX_HORIZON + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, cap",
+    [("horizon", "MAX_HORIZON"), ("checkpoint", "MAX_HORIZON"), ("length", "MAX_HORIZON"),
+     ("trials", "MAX_TRIALS"), ("trial_steps", "MAX_TRIAL_STEPS")],
+)
+def test_caps_refuse_before_any_step(rotation_system, monkeypatch, entry, cap):
+    import stepskew.ergodic as ergodic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(ergodic, "_driving_states", refuse)
+    monkeypatch.setattr(sk.SkewSystem, "_pair_step", refuse)
+    with pytest.raises(sk.TooLarge, match=cap):
+        CAPPED_CALLS[entry](rotation_system, ergodic)
 
 
 def test_mc_mean_approaches_start_averaged_limit(bufetov_system):
