@@ -21,20 +21,36 @@ each mass grid's bytes until one repeats, checks both bit for bit: the
 partial means at the horizons it reaches, and M_n for n = 10^12 .. 10^12 + 7
 at the indices they reduce to on the cycle it finds.
 
-Run from the repository root:
+A fourth part, run first so that its peak resident set size is its own,
+puts a random permutation of the 300 points on each state of the periodic
+driving chain y -> y + 1 (mod 300). Every state is then its own sim block
+(r = n), so the sim-block quotient has as many nodes as the 9*10^4 pairs.
+It checks the closed classes against the pure-Python cycle walk of the test
+suite and times the closed classes, the product-structure check and the
+family-invariant partition. --periodic-n sets its n = k (1000 gives 10^6
+pairs).
 
-    PYTHONPATH=src python scripts/scale_300.py
+Run from the repository root (the cycle walk is imported from
+tests/conftest.py, so pytest must be installed):
+
+    PYTHONPATH=src python scripts/scale_300.py [--periodic-n N]
 """
 
 from __future__ import annotations
 
+import argparse
 import resource
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import stepskew as sk
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import cycle_class_labels, periodic_system  # noqa: E402
 
 N = K = 300
 CUTS = [0, 30, 105, 180, 300]
@@ -166,28 +182,58 @@ def time_dp() -> dict[str, float]:
     return times
 
 
+def timed(times: dict[str, float], name: str, fn):
+    t0 = time.perf_counter()
+    out = fn()
+    times[name] = time.perf_counter() - t0
+    return out
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def time_periodic(n: int) -> dict[str, float]:
+    """Time the closed-class layers with r = n sim blocks at n^2 pairs,
+    after building the system, and check the classes against the walk."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(0)  # 5 classes at n = 300, 11 at n = 1000
+    sys_ = periodic_system([rng.permutation(n) for _ in range(n)])
+    times = {"periodic_build": time.perf_counter() - start}
+    assert sys_.spec.sim.n_blocks == n, "expected one sim block per state"
+    report = timed(times, "periodic_closed_classes", lambda: sys_.closed_classes)
+    timed(times, "periodic_family_partition", lambda: sys_.family_partition)
+    timed(times, "periodic_check_product_structure", lambda: sk.check_product_structure(sys_))
+    times["periodic_total"] = time.perf_counter() - start
+    assert report.labels.tolist() == cycle_class_labels(sys_), "classes differ from the cycle walk"
+    return times
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--periodic-n", type=int, default=N, help="n = k of the r = n part")
+    args = parser.parse_args()
+    for name, seconds in time_periodic(args.periodic_n).items():
+        print(f"{name}: {seconds:.4f} s")
+    print(f"periodic_peak_rss_mb: {peak_rss_mb():.1f}")
+
     start = time.perf_counter()
     sys_ = build_system()
     times = {"build": time.perf_counter() - start}
 
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        times[name] = time.perf_counter() - t0
-        return out
-
-    report = timed("report", lambda: sk.is_skew_ergodic(sys_))
-    product = timed("check_product_structure", lambda: sk.check_product_structure(sys_))
-    basis = timed("basis", lambda: sk.invariant_function_basis(sys_))
+    report = timed(times, "report", lambda: sk.is_skew_ergodic(sys_))
+    product = timed(times, "check_product_structure", lambda: sk.check_product_structure(sys_))
+    basis = timed(times, "basis", lambda: sk.invariant_function_basis(sys_))
     rng = np.random.default_rng(301)
     f = rng.random(K)
     pairs = list(zip(rng.integers(0, N, size=300).tolist(), rng.integers(0, K, size=300).tolist()))
     birkhoff = timed(
-        "birkhoff_limits_300", lambda: [sk.exact_birkhoff_limit(sys_, y, x, f) for y, x in pairs]
+        times,
+        "birkhoff_limits_300",
+        lambda: [sk.exact_birkhoff_limit(sys_, y, x, f) for y, x in pairs],
     )
     cesaro = timed(
-        "cesaro_limits_300", lambda: [sk.exact_cesaro_limit(sys_, f, x) for x in range(K)]
+        times, "cesaro_limits_300", lambda: [sk.exact_cesaro_limit(sys_, f, x) for x in range(K)]
     )
     total = time.perf_counter() - start
 
@@ -202,7 +248,7 @@ def main() -> None:
         print(f"{name}: {seconds:.4f} s")
     print(f"total: {total:.4f} s")
     print(f"max_limit_error: {worst:.3e}")
-    print(f"peak_rss_mb: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+    print(f"peak_rss_mb: {peak_rss_mb():.1f}")
     print(f"family_partition_1e6_median: {time_big_family_partition():.4f} s")
     for name, seconds in time_dp().items():
         print(f"{name}: {seconds:.4f} s")

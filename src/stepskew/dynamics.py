@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotMeasurePreserving, ValidationError
 from .graphs import Partition, undirected_components
-from .kernels import EPS_SUM, ProbVector
+from .kernels import EPS_SUM, ProbVector, _state_mask
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class FiniteMeasureSpace:
 
 def uniform_space(points) -> FiniteMeasureSpace:
     labels = tuple(str(p) for p in points)
+    if not labels:
+        raise ValidationError("a uniform space needs at least one point")
     return FiniteMeasureSpace.create(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
@@ -135,10 +137,7 @@ def family_invariant_partition(family: TransformationFamily, active) -> Partitio
     between x and its image under each active map; invariant sets are
     exactly the unions of the resulting blocks.
     """
-    act = sorted(int(y) for y in active)
-    for y in act:
-        if not 0 <= y < family.n_states:
-            raise ValidationError(f"active state {y} out of range")
+    act = _state_mask(active, family.n_states, "active set")
     supp = family.space.support
     return undirected_components(family.space.mu.values > 0, supp, family.tables[act][:, supp])
 

@@ -1,8 +1,8 @@
 """Connectivity machinery on exact zero/nonzero patterns.
 
-Every structural verdict in the package reduces to connectivity of some
-boolean adjacency matrix, so everything here is pattern-exact: no float
-comparisons. Every partition is one read-only label array (`Partition`).
+Every structural verdict in the package reduces to connectivity of a graph
+given by its edges, tails[i] -> heads[i], so everything here is
+pattern-exact. Every partition is one read-only label array (`Partition`).
 
 Strong connectivity runs an iterative Tarjan in pure Python on graphs of
 at most SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above
@@ -107,31 +107,33 @@ def undirected_components(ground: np.ndarray, u: np.ndarray, v: np.ndarray) -> P
 
 def strongly_connected_components(adj: np.ndarray) -> Partition:
     """SCCs of the digraph of a boolean adjacency matrix, over all its nodes."""
-    if adj.shape[0] <= SMALL_SCC_MAX_NODES:
-        return _tarjan_components(adj)
-    return _scipy_components(adj)
+    return _components(adj.shape[0], *np.nonzero(adj))
 
 
-def _scipy_components(adj: np.ndarray) -> Partition:
-    ncomp, raw = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
+def _components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
+    """SCCs of the digraph on range(n) with edges tails[i] -> heads[i]."""
+    if n <= SMALL_SCC_MAX_NODES:
+        return _tarjan_components(n, tails, heads)
+    return _scipy_components(n, tails, heads)
+
+
+def _scipy_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
+    edges = csr_matrix((np.ones(len(tails), dtype=bool), (tails, heads)), shape=(n, n))
+    ncomp, raw = connected_components(edges, directed=True, connection="strong")
     _, first = np.unique(raw, return_index=True)  # least member of each
     rank = np.empty(ncomp, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(ncomp)
     return _partition(rank[raw], ncomp)
 
 
-def _tarjan_components(adj: np.ndarray) -> Partition:
+def _tarjan_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
     """Tarjan's SCC algorithm (1972) with an explicit call stack.
 
     A node's index is set to n once its component is emitted, so edges
     into finished components never lower a low-link.
     """
-    n = adj.shape[0]
     succ: list[list[int]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(adj)
-    for v, w in zip(rows.tolist(), cols.tolist()):
+    for v, w in zip(tails.tolist(), heads.tolist()):
         succ[v].append(w)
     index = [-1] * n
     low = [0] * n
@@ -178,16 +180,15 @@ def is_strongly_connected(adj: np.ndarray) -> bool:
     return strongly_connected_components(adj).n_blocks == 1
 
 
-def closed_components(adj: np.ndarray) -> Partition:
-    """The SCCs that no edge leaves; every other node is labelled -1.
+def closed_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
+    """The SCCs that no edge tails[i] -> heads[i] leaves; others are labelled -1.
 
     For a stochastic matrix's pattern these are its closed communicating
     classes; their count is the dimension of the matrix's fixed space.
     """
-    scc = strongly_connected_components(adj)
-    rows, cols = np.nonzero(adj)
-    tail = scc.labels[rows]
+    scc = _components(n, tails, heads)
+    tail = scc.labels[tails]
     closed = np.ones(scc.n_blocks, dtype=bool)
-    closed[tail[tail != scc.labels[cols]]] = False
+    closed[tail[tail != scc.labels[heads]]] = False
     rank = np.where(closed, closed.cumsum() - 1, -1)
     return _partition(rank[scc.labels], int(np.count_nonzero(closed)))

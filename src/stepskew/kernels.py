@@ -57,6 +57,18 @@ def _is_index(value, size: int) -> bool:
     return is_int and 0 <= value < size
 
 
+def _state_mask(states, n: int, what: str) -> np.ndarray:
+    """Boolean mask over range(n) of the given states, each of which must
+    pass _is_index."""
+    states = list(states)
+    bad = [s for s in states if not _is_index(s, n)]
+    if bad:
+        raise ValidationError(f"{what} holds {bad[0]!r}, not a state index below {n}")
+    mask = np.zeros(n, dtype=bool)
+    mask[states] = True
+    return mask
+
+
 def _ingest(values, name: str) -> np.ndarray:
     """Snap near-zeros to exact 0 and reject negative/invalid entries."""
     arr = np.asarray(values, dtype=float)
@@ -235,7 +247,7 @@ def stationary_distribution(kernel: StochasticMatrix) -> ProbVector:
     one is refused with MultipleStationary and the caller must supply the
     vector. It is solved on the closed class and is 0 on transient states.
     """
-    closed = closed_components(kernel.pattern)
+    closed = closed_components(kernel.n, *np.nonzero(kernel.pattern))
     if closed.n_blocks > 1:
         raise MultipleStationary(
             f"fixed space has dimension {closed.n_blocks}; supply the stationary vector"
@@ -277,14 +289,10 @@ def reach_set(spec: MarkovSpec, b) -> ReachReport:
     n-step layers stabilize within |support| steps, so the union over that
     range is the full closure.
     """
-    target = frozenset(int(i) for i in b)
-    bad = [i for i in target if not (0 <= i < spec.n)]
-    if bad:
-        raise ValidationError(f"target contains out-of-range states {sorted(bad)}")
+    hit = _state_mask(b, spec.n, "target")
+    target = frozenset(np.flatnonzero(hit).tolist())
     supp = spec.support
     pat = spec.kernel.pattern[np.ix_(supp, supp)]
-    hit = np.zeros(spec.n, dtype=bool)
-    hit[list(target)] = True
     cur = hit[supp]
     layers: list[frozenset[int]] = []
     total = np.zeros(len(supp), dtype=bool)
@@ -405,13 +413,9 @@ def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
 
 def deterministic_check(spec: MarkovSpec, b) -> bool:
     """Whether each active row's support lies inside b or inside its complement."""
-    bset = frozenset(int(i) for i in b)
-    for y in spec.support:
-        row = set(int(z) for z in spec.kernel.row_support(int(y)))
-        inter = row & bset
-        if inter and inter != row:
-            return False
-    return True
+    inside = _state_mask(b, spec.n, "set")
+    rows = spec.kernel.pattern[spec.support]
+    return not ((rows & inside).any(axis=1) & (rows & ~inside).any(axis=1)).any()
 
 
 def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:

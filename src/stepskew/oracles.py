@@ -242,7 +242,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 if alternating:
                     m = stationary_distribution(sm).values
                 else:
-                    classes = closed_components(sm.pattern).labels
+                    classes = closed_components(n, *np.nonzero(sm.pattern)).labels
                     m1 = _stationary_on_class(sm.values, np.flatnonzero(classes == 0))
                     m2 = _stationary_on_class(sm.values, np.flatnonzero(classes == 1))
                     alpha = rng.uniform(0.2, 0.8)
@@ -254,7 +254,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 try:
                     m = stationary_distribution(sm).values
                 except MultipleStationary:
-                    closed = closed_components(sm.pattern)
+                    closed = closed_components(n, *np.nonzero(sm.pattern))
                     pick = int(rng.integers(0, closed.n_blocks))
                     m = _stationary_on_class(sm.values, np.flatnonzero(closed.labels == pick))
             return validate_spec(sm, ProbVector.from_values(m))

@@ -19,7 +19,8 @@ of positive mass, and rows that share a state chain together, so every
 set (sim block) x {point} lies inside one class. The classes are therefore
 the lifts of the closed classes of a quotient graph on (sim block, point)
 nodes, with edges (D, x) -> (D_z, T_z(x)) for each active z in D, where D_z
-is the block holding row z's support. A strictly irreducible kernel has one
+is the block holding row z's support; it is kept as edge arrays, one edge
+per active pair, never as a matrix. A strictly irreducible kernel has one
 block; the quotient is then the orbit graph of the maps and the classes are
 (support) x (family-invariant blocks), the paper's main theorem. Brute-force
 subset enumeration, the double-loop pair kernel and a Monte Carlo
@@ -122,15 +123,13 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     state_block, width = spec.sim.labels, len(points)
     local = np.empty(k, dtype=np.intp)
     local[points] = np.arange(width)
-    # Node (b, x) has index b * width + local[x]; nodes[i, j] is the node of
-    # pair (active[i], points[j]). Row z's support lies in one block, so its
-    # first successor names D_z.
+    # Node (b, x) has index b * width + local[x]; pair (active[i], points[j])
+    # lies in node nodes[i, j], whose edge leads to heads[i, j]. Row z's
+    # support lies in one block, so its first successor names D_z.
     nodes = state_block[active][:, None] * width + np.arange(width)
     succ_block = state_block[spec.kernel.pattern[active].argmax(axis=1)]
-    size = spec.sim.n_blocks * width
-    adj = np.zeros((size, size), dtype=bool)
-    adj[nodes, succ_block[:, None] * width + local[tables[active[:, None], points]]] = True
-    node_class = closed_components(adj).labels
+    heads = succ_block[:, None] * width + local[tables[active[:, None], points]]
+    node_class = closed_components(spec.sim.n_blocks * width, nodes.ravel(), heads.ravel()).labels
     if (node_class < 0).any():
         raise InternalInconsistency(
             "sim-block quotient has a transient class despite full-support stationarity"

@@ -41,6 +41,37 @@ def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
     return kernel
 
 
+def periodic_system(tables, mu=None) -> sk.SkewSystem:
+    """The maps over the periodic driving chain y -> y + 1 (mod n) with
+    uniform m, so every state is its own sim block (r = n)."""
+    n = len(tables)
+    spec = spec_of(np.roll(np.eye(n), 1, axis=1), np.full(n, 1.0 / n))
+    return system_of(spec, tables, mu=mu)
+
+
+def cycle_class_labels(sys_: sk.SkewSystem) -> list[list[int]]:
+    """The pair chain's classes over a periodic driving chain, as an n x k
+    grid numbered by first pair in lexicographic order, -1 off the active
+    pairs. Each pair (y, x) has the one successor (y + 1 mod n, T_y(x)),
+    so the chain permutes the active pairs and its classes are the cycles:
+    a pure-Python walk in O(n k), the oracle for r = n."""
+    tables = sys_.family.tables.tolist()
+    on = (sys_.family.space.mu.values > 0).tolist()
+    n, k = len(tables), len(on)
+    labels = [[-1] * k for _ in range(n)]
+    count = 0
+    for start in range(n):
+        for first in range(k):
+            if not on[first] or labels[start][first] >= 0:
+                continue
+            y, x = start, first
+            while labels[y][x] < 0:
+                labels[y][x] = count
+                y, x = (y + 1) % n, tables[y][x]
+            count += 1
+    return labels
+
+
 def union_closure(blocks) -> set[frozenset]:
     """All unions of the given blocks, including the empty union."""
     sets = {frozenset()}

@@ -19,6 +19,11 @@ def uniform3():
     return sk.uniform_space(("1", "2", "3"))
 
 
+def test_empty_uniform_space_is_refused():
+    with pytest.raises(sk.ValidationError, match="at least one point"):
+        sk.uniform_space(())
+
+
 # ---------------------------------------------------------------------------
 # validate_map
 # ---------------------------------------------------------------------------
@@ -136,6 +141,15 @@ def test_active_set_convention_pins_partition():
     family = sk.TransformationFamily.create(space, [[0, 1], [1, 0]])
     assert sk.family_invariant_partition(family, [0]).n_blocks == 2
     assert sk.family_invariant_partition(family, [1]).n_blocks == 1
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, 1.0, True, False, np.True_, "0"])
+def test_family_partition_refuses_non_indices(bad):
+    space = sk.uniform_space(("1", "2"))
+    family = sk.TransformationFamily.create(space, [[0, 1], [1, 0]])
+    with pytest.raises(sk.ValidationError, match="not a state index"):
+        sk.family_invariant_partition(family, [bad])
+    assert sk.family_invariant_partition(family, np.array([1])).n_blocks == 1
 
 
 @given(st.integers(min_value=0, max_value=500))

@@ -100,9 +100,9 @@ def test_small_path_matches_scipy(adj):
 @settings(max_examples=200, deadline=None)
 def test_closed_components_agree_on_both_paths(adj):
     with _on_path(True):
-        small = graphs.closed_components(adj)
+        small = graphs.closed_components(len(adj), *np.nonzero(adj))
     with _on_path(False):
-        large = graphs.closed_components(adj)
+        large = graphs.closed_components(len(adj), *np.nonzero(adj))
     assert small.labels.tolist() == large.labels.tolist()
     closed = set(small.blocks)
     assert small.n_blocks == len(closed)
@@ -140,16 +140,16 @@ def test_crossover_routes_by_node_count(n, small):
         got = graphs.strongly_connected_components(adj)
     assert got.blocks == want
     assert (tarjan.call_count, scipy_path.call_count) == ((1, 0) if small else (0, 1))
-    assert graphs.closed_components(adj).blocks == (want[-1],)
+    assert graphs.closed_components(len(adj), *np.nonzero(adj)).blocks == (want[-1],)
 
 
 def test_path_splits_and_closing_it_joins():
     n = CROSSOVER
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n - 1), np.arange(1, n)] = True
-    assert graphs._tarjan_components(adj).blocks == tuple(frozenset({v}) for v in range(n))
+    assert graphs._tarjan_components(n, *np.nonzero(adj)).blocks == tuple(frozenset({v}) for v in range(n))
     adj[n - 1, 0] = True
-    assert graphs._tarjan_components(adj).blocks == (frozenset(range(n)),)
+    assert graphs._tarjan_components(n, *np.nonzero(adj)).blocks == (frozenset(range(n)),)
 
 
 @st.composite

@@ -185,6 +185,18 @@ def test_reach_identity_kernel():
     assert sk.reach_set(spec, {0}).u_set == {0}
 
 
+# Not state indices of a 2- or 3-state kernel: out of range, negative, a
+# float, bools (which numpy would read as 1 and 0) and a string.
+NOT_STATES = [99, 3, -1, 0.9, 1.0, True, False, np.True_, "0"]
+
+
+@pytest.mark.parametrize("bad", NOT_STATES)
+def test_reach_set_refuses_non_indices(period2_spec, bad):
+    with pytest.raises(sk.ValidationError, match="not a state index"):
+        sk.reach_set(period2_spec, {bad})
+    assert sk.reach_set(period2_spec, np.array([1])).target == {1}
+
+
 @given(st.integers(min_value=0, max_value=300))
 @settings(max_examples=60, deadline=None)
 def test_reach_positive_mass_and_closure(idx):
@@ -407,6 +419,14 @@ def test_deterministic_check_period2(period2_spec):
     assert sk.deterministic_check(period2_spec, {0})
     assert sk.deterministic_check(period2_spec, set())
     assert sk.deterministic_check(period2_spec, {0, 1})
+
+
+@pytest.mark.parametrize("bad", NOT_STATES)
+def test_deterministic_check_refuses_non_indices(bufetov_system, bad):
+    spec = bufetov_system.spec
+    with pytest.raises(sk.ValidationError, match="not a state index"):
+        sk.deterministic_check(spec, [0, bad])
+    assert sk.deterministic_check(spec, np.arange(spec.n))
 
 
 def test_deterministic_check_bernoulli_straddles():

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import stepskew as sk
 import stepskew.skew
 from conftest import (
+    cycle_class_labels,
     ergodic_family,
+    periodic_system,
     reference_pair_kernel,
     spec_of,
     system_of,
@@ -44,7 +46,8 @@ def whole_matrix_fixed_dim(kernel: np.ndarray) -> int:
 
 
 def oracle_classes(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...]:
-    return closed_components(reference_pair_kernel(sys_) > 0).blocks
+    kernel = reference_pair_kernel(sys_)
+    return closed_components(len(kernel), *np.nonzero(kernel)).blocks
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,39 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
         assert sk.exact_birkhoff_limit(sys_, y, x, f) == pytest.approx(cond[x], abs=1e-12)
     for x in range(0, k, 7):
         assert sk.exact_cesaro_limit(sys_, f, x) == pytest.approx(cond[x], abs=1e-12)
+
+
+@st.composite
+def periodic_systems(draw) -> sk.SkewSystem:
+    """Random maps over a periodic driving chain of up to 7 states: up to 7
+    points of positive mass, which each map permutes, and up to 2 of zero
+    mass, which the maps send anywhere."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    positive = draw(st.integers(min_value=1, max_value=7))
+    k = positive + draw(st.integers(min_value=0, max_value=2))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    live = rng.permutation(k)[:positive]
+    mu = np.zeros(k)
+    mu[live] = 1.0 / positive
+    tables = rng.integers(0, k, size=(n, k))
+    for table in tables:
+        table[live] = rng.permutation(live)
+    return periodic_system(tables, mu=mu)
+
+
+@given(periodic_systems())
+@settings(max_examples=200, deadline=None)
+def test_periodic_driving_classes_are_the_pair_cycles(sys_):
+    assert sys_.spec.sim.n_blocks == sys_.spec.n
+    assert sys_.closed_classes.labels.tolist() == cycle_class_labels(sys_)
+
+
+def test_periodic_driving_classes_at_ninety_thousand_pairs():
+    # r = n = 300 sim blocks: a dense quotient adjacency would take 8.1 GB.
+    rng = np.random.default_rng(300)
+    sys_ = periodic_system([rng.permutation(300) for _ in range(300)])
+    assert sys_.spec.sim.n_blocks == 300
+    assert sys_.closed_classes.labels.tolist() == cycle_class_labels(sys_)
 
 
 # ---------------------------------------------------------------------------
