@@ -239,35 +239,32 @@ def cmd_skew(cfg: SystemConfig) -> str:
 
 
 def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
+    witness = None
     try:
         counter = build_counterexample_family(spec)
     except NotApplicable:
-        counter = None
-    if counter is not None:
-        swaps = [y for y in spec.support if counter.family.tables[y].tolist() == [1, 0]]
+        try:
+            counter = build_base_counterexample(spec)
+        except NotApplicable:
+            return ["COUNTEREXAMPLE: none (kernel is strictly irreducible)"]
+        title = "reducible base; two-point system with non-product invariant structure"
+    else:
+        title = "ergodic two-point family with non-ergodic skew product"
         witness = counterexample_invariant_set(spec)
-        mass = sum(
-            spec.m.values[y] * counter.family.space.mu.values[x] for y, x in witness
-        )
-        verdict = is_skew_ergodic(counter)
-        return [
-            "COUNTEREXAMPLE: ergodic two-point family with non-ergodic skew product",
-            f"COUNTEREXAMPLE_SWAP_STATES: {_set_str(cfg.states, swaps)}",
-            f"COUNTEREXAMPLE_SKEW_ERGODIC: {_bool(verdict.ergodic)}",
-            f"COUNTEREXAMPLE_WITNESS_MASS: {float(mass)!r}",
-        ]
-    try:
-        base = build_base_counterexample(spec)
-    except NotApplicable:
-        return ["COUNTEREXAMPLE: none (kernel is strictly irreducible)"]
-    verdict = is_skew_ergodic(base)
-    swaps = [y for y in spec.support if base.family.tables[y].tolist() == [1, 0]]
-    return [
-        "COUNTEREXAMPLE: reducible base; two-point system with non-product invariant structure",
+    verdict = is_skew_ergodic(counter)
+    swaps = spec.support[counter.family.tables[spec.support, 0] == 1]
+    lines = [
+        f"COUNTEREXAMPLE: {title}",
         f"COUNTEREXAMPLE_SWAP_STATES: {_set_str(cfg.states, swaps)}",
         f"COUNTEREXAMPLE_SKEW_ERGODIC: {_bool(verdict.ergodic)}",
-        f"COUNTEREXAMPLE_PRODUCT_STRUCTURE: {_bool(verdict.product_structured)}",
     ]
+    if witness is None:
+        lines.append(f"COUNTEREXAMPLE_PRODUCT_STRUCTURE: {_bool(verdict.product_structured)}")
+    else:
+        mu = counter.family.space.mu.values
+        mass = sum(spec.m.values[y] * mu[x] for y, x in witness)
+        lines.append(f"COUNTEREXAMPLE_WITNESS_MASS: {float(mass)!r}")
+    return lines
 
 
 def _resolve_function(cfg: SystemConfig, name: str | None) -> tuple[str, np.ndarray]:
@@ -306,7 +303,7 @@ def cmd_simulate(
     else:
         if x_label not in cfg.points:
             raise ValidationError(f"unknown point label {x_label!r} in --x")
-        x = sys_.family.space.index_of(x_label)
+        x = cfg.points.index(x_label)
     trace = ergodic.convergence_report(
         sys_,
         f,

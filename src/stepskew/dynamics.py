@@ -49,16 +49,6 @@ class FiniteMeasureSpace:
     def support(self) -> np.ndarray:
         return self.mu.support
 
-    @property
-    def support_set(self) -> frozenset[int]:
-        return self.mu.support_set
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise KeyError(f"unknown point label {label!r}") from None
-
 
 def uniform_space(points) -> FiniteMeasureSpace:
     labels = tuple(str(p) for p in points)
@@ -93,13 +83,12 @@ def validate_map(space: FiniteMeasureSpace, table) -> np.ndarray:
     worst = int(np.argmax(dev))
     if dev[worst] > EPS_SUM:
         raise NotMeasurePreserving(worst, float(dev[worst]))
-    supp = space.support_set
-    image = {int(t[x]) for x in supp}
-    if not image <= supp:
+    hits = np.bincount(t[space.support], minlength=space.k)  # preimages in the support
+    if hits[mu == 0].any():
         raise NotMeasurePreserving(
             worst, float(dev[worst]), "map sends support points off-support"
         )
-    if len(image) != len(supp):
+    if hits.max() > 1:
         raise NotMeasurePreserving(
             worst, float(dev[worst]), "map is not injective on the support"
         )

@@ -15,7 +15,7 @@ substream: results are identical however trials are scheduled.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
         raise DimensionMismatch(f"function has shape {fv.shape}, expected ({k},)")
     if not _is_index(x, k):
         raise ValidationError(f"start point {x!r} is not a point index 0..{k - 1}")
-    if x not in sys.family.space.support_set:
+    if sys.family.space.mu.values[x] == 0:
         raise StartOffSupport(f"start point {x} is a zero-mass point")
     return fv
 
@@ -331,7 +331,7 @@ def orbit_occupancy(
             f"(trials={trials})"
         )
     x_arr = np.broadcast_to(x_arr, (trials,)).copy()
-    if any(int(x) not in family.space.support_set for x in x_arr):
+    if not np.isin(x_arr, family.space.support).all():
         raise StartOffSupport("a trial starts at a zero-mass point")
     tables, k = family.tables, family.space.k
     # Each step writes one row of flat indices trial*k + x; a full buffer or
@@ -379,7 +379,7 @@ class TraceRow:
     abs_err_cesaro: float
 
 
-CSV_HEADER = "n,empirical_birkhoff,mc_mean,cesaro_partial,reference,abs_err_birkhoff,abs_err_cesaro"
+CSV_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 
 @dataclass(frozen=True)
@@ -397,11 +397,7 @@ class ConvergenceTrace:
     def to_csv(self) -> str:
         lines = [f"# {k}: {v}" for k, v in self.metadata]
         lines.append(CSV_HEADER)
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.empirical_birkhoff!r},{r.mc_mean!r},{r.cesaro_partial!r},"
-                f"{r.reference!r},{r.abs_err_birkhoff!r},{r.abs_err_cesaro!r}"
-            )
+        lines.extend(",".join(map(repr, astuple(r))) for r in self.rows)
         return "\n".join(lines) + "\n"
 
 

@@ -103,14 +103,12 @@ class ProbVector:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def support(self) -> np.ndarray:
-        """Indices with strictly positive mass."""
-        return np.flatnonzero(self.values)
-
     @cached_property
-    def support_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in self.support)
+    def support(self) -> np.ndarray:
+        """Indices with strictly positive mass, read-only; computed once."""
+        supp = np.flatnonzero(self.values)
+        supp.setflags(write=False)
+        return supp
 
     def mass(self, indices) -> float:
         idx = list(indices)
@@ -170,10 +168,6 @@ class MarkovSpec:
     def support(self) -> np.ndarray:
         return self.m.support
 
-    @property
-    def support_set(self) -> frozenset[int]:
-        return self.m.support_set
-
     def support_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """(active state indices, boolean pattern restricted to them)."""
         supp = self.support
@@ -229,13 +223,12 @@ def validate_spec(kernel: StochasticMatrix, m: ProbVector) -> MarkovSpec:
         raise NotInvariant(worst)
     # Support closure is forced by exact invariance; assert it independently
     # because the invariance test is run at tolerance.
-    supp = m.support_set
-    for y in sorted(supp):
-        leak = set(int(z) for z in kernel.row_support(y)) - supp
-        if leak:
-            raise NotInvariant(
-                worst, f"state {y} gives positive mass to zero-mass states {sorted(leak)}"
-            )
+    on = m.values > 0
+    leaks = kernel.pattern & on[:, None] & ~on
+    if leaks.any():
+        y = int(leaks.any(axis=1).argmax())
+        targets = np.flatnonzero(leaks[y]).tolist()
+        raise NotInvariant(worst, f"state {y} gives positive mass to zero-mass states {targets}")
     return MarkovSpec(kernel, m)
 
 
@@ -321,20 +314,14 @@ def _reverse_rows(kernel_values: np.ndarray, mv: np.ndarray, supp) -> np.ndarray
     than by m(i)) keeps rows stochastic to machine precision even where a
     tiny stationary mass amplifies the residual of the stationarity solve.
     """
-    n = kernel_values.shape[0]
     joint = mv[:, None] * kernel_values
-    out = np.zeros((n, n))
-    on = np.zeros(n, dtype=bool)
-    on[supp] = True
-    for i in supp:
-        col = joint[:, i]
-        total = col.sum()
-        if total > 0.0:
-            out[i, :] = col / total
-        else:
-            out[i, i] = 1.0  # mass below validation resolution
-    for i in np.flatnonzero(~on):
-        out[i, i] = 1.0
+    # Contiguous rows of the transpose sum in the order a lone column does.
+    totals = np.ascontiguousarray(joint.T).sum(axis=1)
+    # Off-support rows and rows of mass below validation resolution stay
+    # point masses.
+    live = supp[totals[supp] > 0.0]
+    out = np.eye(kernel_values.shape[0])
+    out[live] = joint[:, live].T / totals[live, None]
     return out
 
 

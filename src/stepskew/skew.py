@@ -51,15 +51,8 @@ from .errors import (
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, closed_components
-from .kernels import (
-    EPS_SUM,
-    MarkovSpec,
-    _is_index,
-    is_irreducible,
-    is_strictly_irreducible,
-    reach_set,
-)
+from .graphs import Partition, closed_components, strongly_connected_components
+from .kernels import EPS_SUM, MarkovSpec, _is_index, is_irreducible, is_strictly_irreducible
 
 
 @dataclass(frozen=True)
@@ -269,15 +262,12 @@ def check_product_structure(sys: SkewSystem) -> bool:
     return product
 
 
-def _two_point_family(
-    spec: MarkovSpec, swap_states: set[int]
-) -> TransformationFamily:
+def _two_point_family(spec: MarkovSpec, swap_states: np.ndarray) -> TransformationFamily:
     """Family on a uniform 2-point fiber: swap on the given states, Id elsewhere."""
-    space = uniform_space(("1", "2"))
-    ident = np.array([0, 1])
-    swap = np.array([1, 0])
-    tables = [swap if y in swap_states else ident for y in range(spec.n)]
-    return TransformationFamily.create(space, tables)
+    swap = np.zeros(spec.n, dtype=np.int64)
+    swap[swap_states] = 1
+    tables = np.stack([swap, 1 - swap], axis=1)
+    return TransformationFamily.create(uniform_space(("1", "2")), tables)
 
 
 def build_counterexample_family(spec: MarkovSpec) -> SkewSystem:
@@ -298,8 +288,7 @@ def build_counterexample_family(spec: MarkovSpec) -> SkewSystem:
     stays_in_b = ~(spec.kernel.pattern & ~in_b).any(axis=1)
     # A state in b whose row leaves b, or outside b whose row enters it.
     supp = spec.support
-    swap_states = set(supp[in_b[supp] != stays_in_b[supp]].tolist())
-    return SkewSystem.create(spec, _two_point_family(spec, swap_states))
+    return SkewSystem.create(spec, _two_point_family(spec, supp[in_b[supp] != stays_in_b[supp]]))
 
 
 def counterexample_invariant_set(spec: MarkovSpec) -> frozenset[tuple[int, int]]:
@@ -312,22 +301,17 @@ def build_base_counterexample(spec: MarkovSpec) -> SkewSystem:
     """Two-point system whose invariant structure cannot split, for a
     reducible driving kernel.
 
-    The absorbing set is the complement (within the support) of the
-    reachability closure of the first state witnessing reducibility; its
-    states keep the identity, all others swap.
+    The states that reach the first support state swap; the rest of the
+    support, which that state never reaches, keeps the identity. As m is
+    stationary and positive on the support, every support state is
+    recurrent, so the states reaching the first one are exactly its
+    strongly connected class.
     """
     if is_irreducible(spec):
         raise NotApplicable("driving kernel is irreducible")
-    supp = spec.support_set
-    absorbing: frozenset[int] | None = None
-    for b in sorted(supp):
-        u = reach_set(spec, {b}).u_set
-        if not supp <= u:
-            absorbing = supp - u
-            break
-    if absorbing is None:
-        raise InternalInconsistency(
-            "reducible kernel has no reachability witness"
-        )
-    swap_states = {int(y) for y in supp if y not in absorbing}
-    return SkewSystem.create(spec, _two_point_family(spec, swap_states))
+    supp, pat = spec.support_pattern()
+    scc = strongly_connected_components(pat).labels
+    reaches_first = scc == scc[0]
+    if reaches_first.all():
+        raise InternalInconsistency("reducible kernel has no reachability witness")
+    return SkewSystem.create(spec, _two_point_family(spec, supp[reaches_first]))

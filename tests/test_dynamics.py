@@ -92,6 +92,15 @@ def test_support_leak_rejected():
         sk.validate_map(space, [1, 2, 0])
 
 
+def test_off_support_is_reported_before_non_injective():
+    # c goes to zero-mass e, and b and d both go to b; the pushforward moves
+    # only 1e-10, below tolerance, so both structural checks are reached
+    mu = [0.5, 0.5 - 2e-10, 1e-10, 1e-10, 0.0]
+    space = sk.FiniteMeasureSpace.create(("a", "b", "c", "d", "e"), mu)
+    with pytest.raises(sk.NotMeasurePreserving, match="sends support points off-support"):
+        sk.validate_map(space, [0, 1, 4, 1, 4])
+
+
 def test_sub_tolerance_mass_shuffle_still_rejected():
     # pushforward deviation is below tolerance but the map is not injective
     # on the support; the structural assertion must catch it
@@ -110,10 +119,12 @@ def test_cycle_pair_family_ergodic():
     assert sk.is_family_ergodic(family, [0, 1])
 
 
-def test_support_set_and_table_matrix_are_built_once():
+def test_support_and_table_matrix_are_built_once():
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
     family = sk.TransformationFamily.create(space, [[1, 0, 2], [0, 1, 2]])
-    assert space.support_set == {0, 1} and space.support_set is space.support_set
+    supp = space.support
+    assert supp.tolist() == [0, 1] and space.support is supp and space.mu.support is supp
+    assert not supp.flags.writeable
     tables = family.tables
     assert tables.tolist() == [[1, 0, 2], [0, 1, 2]]
     assert family.tables is tables and not tables.flags.writeable
@@ -158,7 +169,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=3, index=idx)
     part = sk.family_invariant_partition(family, range(3))
-    supp = space.support_set
+    supp = space.support.tolist()
     for y in range(3):
         t = family.tables[y]
         for block in part.blocks:

@@ -828,6 +828,13 @@ def test_occupancy_refuses_non_integer_x0(bufetov_system, x0):
         sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
 
 
+@pytest.mark.parametrize("x0", [-1, 3, [0, -1], [3, 0]])
+def test_occupancy_refuses_out_of_range_x0(bufetov_system, x0):
+    # k = 3 points: -1 must not wrap to the last point, 3 is past the end
+    with pytest.raises(sk.StartOffSupport, match="zero-mass point"):
+        sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
+
+
 def test_occupancy_takes_integer_array_x0(bufetov_system):
     x0 = np.array([0, 2], dtype=np.int64)
     _, by_array = sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)

@@ -22,12 +22,12 @@ WIDE_GEN = sk.GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degen
 # ---------------------------------------------------------------------------
 def test_validate_period2(period2_spec):
     assert period2_spec.n == 2
-    assert period2_spec.support_set == {0, 1}
+    assert period2_spec.support.tolist() == [0, 1]
 
 
 def test_validate_one_state_identity():
     spec = spec_of([[1.0]], [1.0])
-    assert spec.support_set == {0}
+    assert spec.support.tolist() == [0]
 
 
 def test_validate_rejects_non_invariant():
@@ -62,6 +62,25 @@ def test_support_closure_asserted():
     # m puts no mass on state 1 but state 0 feeds it: not invariant
     with pytest.raises(sk.NotInvariant):
         spec_of([[0.5, 0.5], [0.0, 1.0]], [1.0, 0.0])
+
+
+def test_support_leak_names_first_leaking_state():
+    # m lives on {0, 2} and both support rows leak 1e-10 to zero-mass states,
+    # below the invariance tolerance; the first leaking row is reported
+    kernel = sk.StochasticMatrix.from_rows(
+        [
+            [1.0 - 2e-10, 1e-10, 0.0, 1e-10],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1e-10, 1.0 - 1e-10, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    m = sk.ProbVector.from_values([0.5, 0.0, 0.5, 0.0])
+    with pytest.raises(sk.NotInvariant) as err:
+        sk.validate_spec(kernel, m)
+    assert str(err.value).endswith(
+        ": state 0 gives positive mass to zero-mass states [1, 3]"
+    )
 
 
 def test_negative_entries_rejected():
@@ -201,13 +220,13 @@ def test_reach_set_refuses_non_indices(period2_spec, bad):
 @settings(max_examples=60, deadline=None)
 def test_reach_positive_mass_and_closure(idx):
     spec = sk.generate_spec(GEN, index=idx)
-    supp = sorted(spec.support_set)
+    supp = spec.support.tolist()
     rng = np.random.default_rng(idx)
     b = {int(y) for y in rng.choice(supp, size=rng.integers(1, len(supp) + 1), replace=False)}
     rep = sk.reach_set(spec, b)
     assert spec.m.mass(rep.u_set) > 0
     # no structural escape from outside U into U
-    outside = spec.support_set - rep.u_set
+    outside = set(spec.support.tolist()) - rep.u_set
     for y in outside:
         assert not any(int(z) in rep.u_set for z in spec.kernel.row_support(int(y)))
 
@@ -232,7 +251,7 @@ def test_irreducible_two_components_false():
 
 def _has_nontrivial_absorbing(spec):
     """Brute force: a set with 0 < m(B) < 1 whose rows stay inside it."""
-    supp = sorted(spec.support_set)
+    supp = spec.support.tolist()
     masks = {y: {int(z) for z in spec.kernel.row_support(y)} for y in supp}
     for sub in range(1, (1 << len(supp)) - 1):
         b = {supp[k] for k in range(len(supp)) if sub >> k & 1}
@@ -407,7 +426,7 @@ def test_strict_depends_only_on_pattern(idx):
         m2 = sk.stationary_distribution(perturbed)
     except sk.MultipleStationary:
         return  # cannot re-solve uniquely; property only pinned for that case
-    if m2.support_set != spec.support_set:
+    if not np.array_equal(m2.support, spec.support):
         return
     assert sk.is_strictly_irreducible(sk.validate_spec(perturbed, m2)) == before
 
@@ -469,7 +488,7 @@ def test_deterministic_sets_match_brute_force(idx):
 @settings(max_examples=60, deadline=None)
 def test_deterministic_check_matches_definition(idx):
     spec = sk.generate_spec(GEN, index=idx)
-    supp = sorted(spec.support_set)
+    supp = spec.support.tolist()
     rng = np.random.default_rng(idx + 7)
     for _ in range(8):
         size = int(rng.integers(0, len(supp) + 1))

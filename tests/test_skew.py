@@ -542,6 +542,33 @@ def test_base_counterexample_breaks_product_structure(idx):
     assert not report.product_structured
 
 
+def reach_set_swap_states(spec: sk.MarkovSpec) -> list[int]:
+    """Oracle for the base counterexample's swap states: the reach-set search
+    over the support, which takes the first state b whose reachability
+    closure misses part of the support and swaps the states in it."""
+    supp = set(spec.support.tolist())
+    for b in sorted(supp):
+        u = sk.reach_set(spec, {b}).u_set
+        if not supp <= u:
+            return sorted(u)
+    raise AssertionError("reducible kernel has no reachability witness")
+
+
+@pytest.mark.parametrize("gen", [GEN, QUOTIENT_GEN], ids=["gen", "quotient_gen"])
+def test_base_counterexample_matches_reach_set_search(gen):
+    checked = 0
+    for idx in range(300):
+        spec = sk.generate_spec(gen, index=idx)
+        if sk.is_irreducible(spec):
+            continue
+        swap = np.zeros(spec.n, dtype=bool)
+        swap[reach_set_swap_states(spec)] = True
+        tables = sk.build_base_counterexample(spec).family.tables
+        assert tables.tolist() == np.where(swap[:, None], [1, 0], [0, 1]).tolist(), idx
+        checked += 1
+    assert checked >= 50
+
+
 # ---------------------------------------------------------------------------
 # equivalence-theorem properties (the full volume runs in acceptance)
 # ---------------------------------------------------------------------------
