@@ -30,6 +30,13 @@ suite and times the closed classes, the product-structure check and the
 family-invariant partition. --periodic-n sets its n = k (1000 gives 10^6
 pairs).
 
+A fifth part, run last, drives a reducible kernel at scale: two disjoint
+cycles of 500 states each, their states interleaved at random, with the
+uniform stationary vector supplied. It times validation, is_irreducible
+(which must be false) and the base counterexample, whose swap states must
+be exactly the cycle through state 0, the first support state, as a walk
+along that cycle in pure Python finds it.
+
 Run from the repository root (the cycle walk is imported from
 tests/conftest.py, so pytest must be installed):
 
@@ -209,6 +216,35 @@ def time_periodic(n: int) -> dict[str, float]:
     return times
 
 
+CYCLE = 500
+
+
+def time_reducible() -> dict[str, float]:
+    """Time the reducible-base layers on two disjoint CYCLE-state cycles,
+    after checking the swap states against a walk along the first one."""
+    n = 2 * CYCLE
+    order = np.random.default_rng(500).permutation(n)
+    rows = np.zeros((n, n))
+    for cycle in (order[:CYCLE], order[CYCLE:]):
+        rows[cycle, np.roll(cycle, -1)] = 1.0
+    times: dict[str, float] = {}
+    kernel, m = sk.StochasticMatrix.from_rows(rows), sk.ProbVector.from_values(np.full(n, 1 / n))
+    spec = timed(times, "reducible_validate", lambda: sk.validate_spec(kernel, m))
+    irreducible = timed(times, "reducible_is_irreducible", lambda: sk.is_irreducible(spec))
+    counter = timed(
+        times, "reducible_base_counterexample", lambda: sk.build_base_counterexample(spec)
+    )
+    assert not irreducible, "two disjoint cycles reported irreducible"
+    successor = rows.argmax(axis=1).tolist()
+    walk, y = [0], successor[0]
+    while y != 0:
+        walk.append(y)
+        y = successor[y]
+    swaps = np.flatnonzero(counter.family.tables[:, 0] == 1).tolist()
+    assert len(walk) == CYCLE and swaps == sorted(walk), "swap states differ from the first cycle"
+    return times
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--periodic-n", type=int, default=N, help="n = k of the r = n part")
@@ -251,6 +287,8 @@ def main() -> None:
     print(f"peak_rss_mb: {peak_rss_mb():.1f}")
     print(f"family_partition_1e6_median: {time_big_family_partition():.4f} s")
     for name, seconds in time_dp().items():
+        print(f"{name}: {seconds:.4f} s")
+    for name, seconds in time_reducible().items():
         print(f"{name}: {seconds:.4f} s")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import ergodic
 from .config import SystemConfig
 from .dynamics import FiniteMeasureSpace, TransformationFamily
-from .errors import NotApplicable, ParseError, TooLarge, ValidationError
+from .errors import ParseError, TooLarge, ValidationError
 from .gallery import gallery_config
 from .kernels import (
     MarkovSpec,
@@ -240,15 +240,13 @@ def cmd_skew(cfg: SystemConfig) -> str:
 
 def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
     witness = None
-    try:
-        counter = build_counterexample_family(spec)
-    except NotApplicable:
-        try:
-            counter = build_base_counterexample(spec)
-        except NotApplicable:
-            return ["COUNTEREXAMPLE: none (kernel is strictly irreducible)"]
+    if not is_irreducible(spec):
+        counter = build_base_counterexample(spec)
         title = "reducible base; two-point system with non-product invariant structure"
+    elif is_strictly_irreducible(spec):
+        return ["COUNTEREXAMPLE: none (kernel is strictly irreducible)"]
     else:
+        counter = build_counterexample_family(spec)
         title = "ergodic two-point family with non-ergodic skew product"
         witness = counterexample_invariant_set(spec)
     verdict = is_skew_ergodic(counter)

@@ -139,9 +139,17 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
+    @cached_property
     def pattern(self) -> np.ndarray:
-        return self.values > 0.0
+        """Boolean sparsity pattern, read-only; computed once."""
+        pat = self.values > 0.0
+        pat.setflags(write=False)
+        return pat
+
+    @cached_property
+    def closed_classes(self) -> Partition:
+        """Closed communicating classes, -1 on transient states; decided once."""
+        return closed_components(self.n, *np.nonzero(self.pattern))
 
     def row_support(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.values[i])
@@ -151,10 +159,10 @@ class StochasticMatrix:
 class MarkovSpec:
     """A kernel paired with an invariant probability vector.
 
-    Constructed through validate_spec, which enforces stationarity and
-    support closure; everything downstream may assume both. The sim
-    partitions and the four strict routes are computed once, on first use,
-    and shared by every caller holding the spec.
+    Constructed through validate_spec, which enforces stationarity, support
+    closure and recurrence of every support state; everything downstream
+    may assume all three. The sim partitions and the four strict routes are
+    computed once, on first use, and shared by every caller holding the spec.
     """
 
     kernel: StochasticMatrix
@@ -167,11 +175,6 @@ class MarkovSpec:
     @property
     def support(self) -> np.ndarray:
         return self.m.support
-
-    def support_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """(active state indices, boolean pattern restricted to them)."""
-        supp = self.support
-        return supp, self.kernel.pattern[np.ix_(supp, supp)]
 
     @cached_property
     def sim(self) -> Partition:
@@ -212,7 +215,8 @@ class DeterministicSetFamily:
 
 
 def validate_spec(kernel: StochasticMatrix, m: ProbVector) -> MarkovSpec:
-    """Pair a kernel with a stationary vector, verifying all invariants."""
+    """Pair a kernel with a stationary vector, verifying all invariants:
+    stationarity, support closure, and recurrence of every support state."""
     if kernel.n != m.n:
         raise DimensionMismatch(
             f"kernel has {kernel.n} states but measure has {m.n}"
@@ -221,14 +225,17 @@ def validate_spec(kernel: StochasticMatrix, m: ProbVector) -> MarkovSpec:
     worst = float(dev.max())
     if worst > EPS_SUM:
         raise NotInvariant(worst)
-    # Support closure is forced by exact invariance; assert it independently
-    # because the invariance test is run at tolerance.
+    # Support closure and recurrence are forced by exact invariance; assert
+    # them on the pattern because the invariance test is run at tolerance.
     on = m.values > 0
     leaks = kernel.pattern & on[:, None] & ~on
     if leaks.any():
         y = int(leaks.any(axis=1).argmax())
         targets = np.flatnonzero(leaks[y]).tolist()
         raise NotInvariant(worst, f"state {y} gives positive mass to zero-mass states {targets}")
+    transient = np.flatnonzero(on & (kernel.closed_classes.labels < 0))
+    if transient.size:
+        raise NotInvariant(worst, f"state {transient[0]} has positive mass but is transient")
     return MarkovSpec(kernel, m)
 
 
@@ -240,7 +247,7 @@ def stationary_distribution(kernel: StochasticMatrix) -> ProbVector:
     one is refused with MultipleStationary and the caller must supply the
     vector. It is solved on the closed class and is 0 on transient states.
     """
-    closed = closed_components(kernel.n, *np.nonzero(kernel.pattern))
+    closed = kernel.closed_classes
     if closed.n_blocks > 1:
         raise MultipleStationary(
             f"fixed space has dimension {closed.n_blocks}; supply the stationary vector"
@@ -298,12 +305,12 @@ def reach_set(spec: MarkovSpec, b) -> ReachReport:
 
 
 def is_irreducible(spec: MarkovSpec) -> bool:
-    """Strong connectivity of the transition pattern on the support of m.
-
-    Also decides ergodicity of the associated shift on path space.
+    """Strong connectivity of the transition pattern on the support of m:
+    the support is a union of closed classes, here exactly one. Also decides
+    ergodicity of the associated shift on path space.
     """
-    _, pat = spec.support_pattern()
-    return is_strongly_connected(pat)
+    labels = spec.kernel.closed_classes.labels[spec.support]
+    return bool((labels == labels[0]).all())
 
 
 def _reverse_rows(kernel_values: np.ndarray, mv: np.ndarray, supp) -> np.ndarray:
@@ -388,8 +395,8 @@ def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
     """The four characterization verdicts; the labeller routes are read off
     the spec's sim and dual sim classes. The Gram products run in float64
     on BLAS: their entries are counts of at most n, so exact."""
-    _, pat = spec.support_pattern()
-    p = pat.astype(np.float64)
+    supp = spec.support
+    p = spec.kernel.pattern[np.ix_(supp, supp)].astype(np.float64)
     return {
         "sim": spec.sim.trivial,
         "dual_sim": spec.dual_sim.trivial,

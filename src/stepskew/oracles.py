@@ -16,7 +16,6 @@ import numpy as np
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
 from .ergodic import _cumulative, orbit_occupancy, substream
-from .graphs import closed_components
 from .kernels import (
     MarkovSpec,
     ProbVector,
@@ -242,7 +241,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 if alternating:
                     m = stationary_distribution(sm).values
                 else:
-                    classes = closed_components(n, *np.nonzero(sm.pattern)).labels
+                    classes = sm.closed_classes.labels
                     m1 = _stationary_on_class(sm.values, np.flatnonzero(classes == 0))
                     m2 = _stationary_on_class(sm.values, np.flatnonzero(classes == 1))
                     alpha = rng.uniform(0.2, 0.8)
@@ -254,7 +253,7 @@ def generate_spec(config: GeneratorConfig, index: int = 0) -> MarkovSpec:
                 try:
                     m = stationary_distribution(sm).values
                 except MultipleStationary:
-                    closed = closed_components(n, *np.nonzero(sm.pattern))
+                    closed = sm.closed_classes
                     pick = int(rng.integers(0, closed.n_blocks))
                     m = _stationary_on_class(sm.values, np.flatnonzero(closed.labels == pick))
             return validate_spec(sm, ProbVector.from_values(m))

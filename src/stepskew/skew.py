@@ -51,7 +51,7 @@ from .errors import (
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, closed_components, strongly_connected_components
+from .graphs import Partition, closed_components
 from .kernels import EPS_SUM, MarkovSpec, _is_index, is_irreducible, is_strictly_irreducible
 
 
@@ -302,16 +302,11 @@ def build_base_counterexample(spec: MarkovSpec) -> SkewSystem:
     reducible driving kernel.
 
     The states that reach the first support state swap; the rest of the
-    support, which that state never reaches, keeps the identity. As m is
-    stationary and positive on the support, every support state is
-    recurrent, so the states reaching the first one are exactly its
-    strongly connected class.
+    support, which that state never reaches, keeps the identity. Every
+    support state is recurrent (validate_spec), so the states reaching the
+    first one are exactly its closed class.
     """
     if is_irreducible(spec):
         raise NotApplicable("driving kernel is irreducible")
-    supp, pat = spec.support_pattern()
-    scc = strongly_connected_components(pat).labels
-    reaches_first = scc == scc[0]
-    if reaches_first.all():
-        raise InternalInconsistency("reducible kernel has no reachability witness")
-    return SkewSystem.create(spec, _two_point_family(spec, supp[reaches_first]))
+    supp, labels = spec.support, spec.kernel.closed_classes.labels
+    return SkewSystem.create(spec, _two_point_family(spec, supp[labels[supp] == labels[supp[0]]]))

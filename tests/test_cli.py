@@ -192,6 +192,19 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "skew"])
+def test_main_refuses_mass_on_a_transient_state(tmp_path, capsys, command):
+    # stationary within tolerance, but state 0 is transient
+    path = tmp_path / "transient.json"
+    doc = json.loads(render_config(gallery_config("bufetov_period2")))
+    doc["kernel"], doc["stationary"] = [[0, 1], [0, 1]], [1e-10, 0.9999999999]
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "state 0" in err
+    assert "Traceback" not in err
+
+
 def test_main_missing_file(capsys):
     assert main(["check", "/nonexistent/x.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -3,6 +3,8 @@ and the four-route strict-irreducibility decision."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+import stepskew.kernels
 from conftest import spec_of
-from stepskew.graphs import is_strongly_connected
+from stepskew.cli import config_spec
+from stepskew.gallery import gallery_config
+from stepskew.graphs import is_strongly_connected, strongly_connected_components
 
 GEN = sk.GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
 WIDE_GEN = sk.GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degenerate_bias=0.35)
@@ -81,6 +86,48 @@ def test_support_leak_names_first_leaking_state():
     assert str(err.value).endswith(
         ": state 0 gives positive mass to zero-mass states [1, 3]"
     )
+
+
+def test_mass_on_a_transient_state_is_refused():
+    # m K = (0, 1) is within tolerance of m, and no mass leaks off the
+    # support, but state 0 is transient: nothing returns to it
+    kernel = sk.StochasticMatrix.from_rows([[0.0, 1.0], [0.0, 1.0]])
+    m = sk.ProbVector.from_values([1e-10, 0.9999999999])
+    with pytest.raises(sk.NotInvariant) as err:
+        sk.validate_spec(kernel, m)
+    assert str(err.value).endswith(": state 0 has positive mass but is transient")
+
+
+def test_pattern_and_closed_classes_are_cached_and_read_only():
+    sm = sk.StochasticMatrix.from_rows([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert sm.pattern is sm.pattern and sm.closed_classes is sm.closed_classes
+    assert sm.closed_classes.labels.tolist() == [-1, 0, 1]
+    with pytest.raises(ValueError):
+        sm.pattern[0, 0] = True
+
+
+def test_closed_classes_are_decided_once_per_kernel(monkeypatch):
+    calls = []
+    real = stepskew.kernels.closed_components
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(stepskew.kernels, "closed_components", counting)
+    period2 = gallery_config("bufetov_period2")
+    # stationary vector solved: one closed class, so irreducible
+    spec = config_spec(replace(period2, stationary=None))
+    assert sk.is_irreducible(spec) and sk.is_irreducible(spec)
+    with pytest.raises(sk.NotApplicable):
+        sk.build_base_counterexample(spec)
+    assert calls == [2]
+    # stationary vector (0.5, 0.5) supplied, on two closed classes
+    calls.clear()
+    spec = config_spec(replace(period2, kernel=((1.0, 0.0), (0.0, 1.0))))
+    assert not sk.is_irreducible(spec) and not sk.is_irreducible(spec)
+    sk.build_base_counterexample(spec)
+    assert calls == [2]
 
 
 def test_negative_entries_rejected():
@@ -260,6 +307,21 @@ def _has_nontrivial_absorbing(spec):
     return False
 
 
+@pytest.mark.parametrize(
+    "cfg", [GEN, sk.GeneratorConfig(seed=1113, n_states=(1, 8), degenerate_bias=0.5)]
+)
+def test_irreducible_matches_one_scc_on_the_support(cfg):
+    # the SCC search over the support pattern that is_irreducible replaced
+    verdicts = set()
+    for idx in range(300):
+        spec = sk.generate_spec(cfg, index=idx)
+        supp = spec.support
+        want = strongly_connected_components(spec.kernel.pattern[np.ix_(supp, supp)]).n_blocks == 1
+        assert sk.is_irreducible(spec) == want, idx
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)
 def test_irreducibility_matches_absorbing_search(idx):
@@ -376,7 +438,8 @@ def test_gram_routes_in_float64_match_int64(idx, cfg):
     # The Gram entries count common successors (or predecessors), at most n,
     # so float64 holds them exactly and the patterns cannot differ.
     spec = sk.generate_spec(cfg, index=idx)
-    _, pat = spec.support_pattern()
+    supp = spec.support
+    pat = spec.kernel.pattern[np.ix_(supp, supp)]
     p, q = pat.astype(np.int64), pat.astype(np.float64)
     assert ((q.T @ q) == (p.T @ p)).all() and ((q @ q.T) == (p @ p.T)).all()
     routes = sk.strict_irreducibility_routes(spec)
