@@ -28,7 +28,9 @@ driving chain y -> y + 1 (mod 300). Every state is then its own sim block
 It checks the closed classes against the pure-Python cycle walk of the test
 suite and times the closed classes, the product-structure check and the
 family-invariant partition. --periodic-n sets its n = k (1000 gives 10^6
-pairs).
+pairs). It then writes the same system as a JSON config document and times
+the command line's three steps on it, parse_config, cmd_check and cmd_skew,
+checking the CLASSES count and the CLASS lines against the cycle walk.
 
 A fifth part, run last, drives a reducible kernel at scale: two disjoint
 cycles of 500 states each, their states interleaved at random, with the
@@ -46,6 +48,7 @@ tests/conftest.py, so pytest must be installed):
 from __future__ import annotations
 
 import argparse
+import json
 import resource
 import statistics
 import sys
@@ -55,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 import stepskew as sk
+from stepskew import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import cycle_class_labels, periodic_system  # noqa: E402
@@ -200,12 +204,16 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def periodic_maps(n: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(0)  # 5 classes at n = 300, 11 at n = 1000
+    return [rng.permutation(n) for _ in range(n)]
+
+
 def time_periodic(n: int) -> dict[str, float]:
     """Time the closed-class layers with r = n sim blocks at n^2 pairs,
     after building the system, and check the classes against the walk."""
     start = time.perf_counter()
-    rng = np.random.default_rng(0)  # 5 classes at n = 300, 11 at n = 1000
-    sys_ = periodic_system([rng.permutation(n) for _ in range(n)])
+    sys_ = periodic_system(periodic_maps(n))
     times = {"periodic_build": time.perf_counter() - start}
     assert sys_.spec.sim.n_blocks == n, "expected one sim block per state"
     report = timed(times, "periodic_closed_classes", lambda: sys_.closed_classes)
@@ -213,6 +221,43 @@ def time_periodic(n: int) -> dict[str, float]:
     timed(times, "periodic_check_product_structure", lambda: sk.check_product_structure(sys_))
     times["periodic_total"] = time.perf_counter() - start
     assert report.labels.tolist() == cycle_class_labels(sys_), "classes differ from the cycle walk"
+    return times
+
+
+def periodic_config_text(maps: list[np.ndarray]) -> str:
+    """The periodic system of periodic_system(maps) as a config document,
+    states labelled s0, s1, ... and points p0, p1, ..."""
+    n, k = len(maps), len(maps[0])
+    points = [f"p{x}" for x in range(k)]
+    doc = {
+        "states": [f"s{y}" for y in range(n)],
+        "kernel": np.roll(np.eye(n), 1, axis=1).tolist(),
+        "stationary": [1 / n] * n,
+        "space": {"points": points, "mu": [1 / k] * k},
+        "family": {f"s{y}": [points[x] for x in table.tolist()] for y, table in enumerate(maps)},
+    }
+    return json.dumps(doc)
+
+
+def time_periodic_cli(n: int) -> dict[str, float]:
+    """Time parse_config, cmd_check and cmd_skew on the periodic config at
+    n^2 pairs, and check the reported classes against the walk."""
+    maps = periodic_maps(n)
+    text = periodic_config_text(maps)
+    times: dict[str, float] = {}
+    cfg = timed(times, "periodic_parse_config", lambda: cli.parse_config(text))
+    check = timed(times, "periodic_cmd_check", lambda: cli.cmd_check(cfg))
+    skew = timed(times, "periodic_cmd_skew", lambda: cli.cmd_skew(cfg))
+    walk = cycle_class_labels(periodic_system(maps))
+    sizes = [0] * (1 + max(max(row) for row in walk))
+    for row in walk:
+        for c in row:
+            sizes[c] += 1
+    assert check.startswith(f"STATES: {n} "), "check report has the wrong state count"
+    lines = skew.splitlines()
+    assert f"CLASSES: {len(sizes)}" in lines, "CLASSES count differs from the cycle walk"
+    members = [line.count("(") for line in lines if line.startswith("CLASS: ")]
+    assert members == sizes, "CLASS lines differ from the cycle walk's class sizes"
     return times
 
 
@@ -252,6 +297,8 @@ def main() -> None:
     for name, seconds in time_periodic(args.periodic_n).items():
         print(f"{name}: {seconds:.4f} s")
     print(f"periodic_peak_rss_mb: {peak_rss_mb():.1f}")
+    for name, seconds in time_periodic_cli(args.periodic_n).items():
+        print(f"{name}: {seconds:.4f} s")
 
     start = time.perf_counter()
     sys_ = build_system()

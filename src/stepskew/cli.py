@@ -18,22 +18,19 @@ import numpy as np
 
 from . import ergodic
 from .config import SystemConfig
-from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import ParseError, TooLarge, ValidationError
 from .gallery import gallery_config
+from .graphs import Partition
 from .kernels import (
     MarkovSpec,
-    ProbVector,
-    StochasticMatrix,
     deterministic_sets,
     is_irreducible,
     is_strictly_irreducible,
     reverse_kernel,
-    stationary_distribution,
-    validate_spec,
 )
 from .skew import (
     SkewSystem,
+    _pairs_by_class,
     build_base_counterexample,
     build_counterexample_family,
     check_product_structure,
@@ -106,15 +103,17 @@ def parse_config(text: str) -> SystemConfig:
     missing = [s for s in states if s not in fam_doc]
     if missing:
         raise ParseError("family", f"missing maps for states {missing}")
-    extra = [s for s in fam_doc if s not in states]
+    known_states = dict.fromkeys(states)
+    extra = [s for s in fam_doc if s not in known_states]
     if extra:
         raise ParseError("family", f"maps for unknown states {extra}")
+    known_points = dict.fromkeys(points)
     family = []
     for s in states:
         images = fam_doc[s]
         if not isinstance(images, list) or len(images) != len(points):
             raise ParseError(f"family.{s}", f"expected a list of {len(points)} point labels")
-        bad = [p for p in images if p not in points]
+        bad = [p for p in images if not isinstance(p, str) or p not in known_points]
         if bad:
             raise ParseError(f"family.{s}", f"unknown point labels {bad}")
         family.append((s, tuple(images)))
@@ -155,25 +154,29 @@ def render_config(cfg: SystemConfig) -> str:
 
 
 def config_spec(cfg: SystemConfig) -> MarkovSpec:
-    kernel = StochasticMatrix.from_rows(cfg.kernel)
-    if cfg.stationary is not None:
-        m = ProbVector.from_values(cfg.stationary)
-    else:
-        m = stationary_distribution(kernel)
-    return validate_spec(kernel, m)
+    """The config's spec, built once and cached on the config."""
+    return cfg.spec
 
 
 def config_system(cfg: SystemConfig) -> SkewSystem:
-    spec = config_spec(cfg)
-    space = FiniteMeasureSpace.create(cfg.points, cfg.mu)
-    at = {p: i for i, p in enumerate(cfg.points)}
-    tables = [[at[img] for img in images] for _, images in cfg.family]
-    family = TransformationFamily.create(space, tables)
-    return SkewSystem.create(spec, family)
+    """The config's skew system over its spec, built once and cached on the config."""
+    return cfg.system
 
 
 def _set_str(labels, indices) -> str:
     return "{" + ",".join(labels[i] for i in sorted(indices)) + "}"
+
+
+def _block_strs(names: np.ndarray, labels: np.ndarray) -> list[str]:
+    """The string {a,b,...} of each block of a label array, in label order,
+    members in index order; names is an object array holding the name of
+    each labelled element (labels >= 0), in index order."""
+    return ["{" + ",".join(names[idx]) + "}" for idx in _pairs_by_class(labels)]
+
+
+def _partition_str(names, part: Partition) -> str:
+    on = part.labels >= 0
+    return " ".join(_block_strs(np.array(names, dtype=object)[on], part.labels))
 
 
 def _bool(b) -> str:
@@ -193,9 +196,8 @@ def cmd_check(cfg: SystemConfig) -> str:
         f"STRICT: {_bool(is_strictly_irreducible(spec))}",
         "STRICT_ROUTES: "
         + " ".join(f"{k}={_bool(v)}" for k, v in spec.strict_routes.items()),
-        "SIM_CLASSES: " + " ".join(_set_str(labels, b) for b in spec.sim.blocks),
-        "DUAL_SIM_CLASSES: "
-        + " ".join(_set_str(labels, b) for b in spec.dual_sim.blocks),
+        "SIM_CLASSES: " + _partition_str(labels, spec.sim),
+        "DUAL_SIM_CLASSES: " + _partition_str(labels, spec.dual_sim),
     ]
     family = deterministic_sets(spec)
     shown = family.sets[:64]
@@ -213,11 +215,6 @@ def cmd_check(cfg: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair_str(cfg: SystemConfig, pair) -> str:
-    y, x = pair
-    return f"({cfg.states[y]},{cfg.points[x]})"
-
-
 def cmd_skew(cfg: SystemConfig) -> str:
     """Skew-product report: family invariants, classes, product structure."""
     sys_ = config_system(cfg)
@@ -225,14 +222,16 @@ def cmd_skew(cfg: SystemConfig) -> str:
     report = is_skew_ergodic(sys_)
     lines = [
         f"FAMILY_ERGODIC: {_bool(sigma.trivial)}",
-        "SIGMA_PARTITION: "
-        + " ".join(_set_str(cfg.points, b) for b in sigma.blocks),
+        "SIGMA_PARTITION: " + _partition_str(cfg.points, sigma),
         f"SKEW_ERGODIC: {_bool(report.ergodic)}",
-        f"CLASSES: {len(report.classes.blocks)}",
+        f"CLASSES: {len(report.class_masses)}",
     ]
-    for block, mass in zip(report.classes.blocks, report.class_masses):
-        members = ",".join(_pair_str(cfg, report.pair_states[i]) for i in sorted(block))
-        lines.append(f"CLASS: {{{members}}} mass={float(mass)!r}")
+    ys, xs = np.nonzero(report.labels >= 0)
+    heads = np.array([f"({s}," for s in cfg.states], dtype=object)
+    tails = np.array([f"{p})" for p in cfg.points], dtype=object)
+    pairs = heads[ys] + tails[xs]  # "(state,point)" per active pair
+    for members, mass in zip(_block_strs(pairs, report.labels), report.class_masses.tolist()):
+        lines.append(f"CLASS: {members} mass={mass!r}")
     lines.append(f"PRODUCT_STRUCTURE: {_bool(check_product_structure(sys_))}")
     lines.extend(_counterexample_lines(cfg, sys_.spec))
     return "\n".join(lines) + "\n"

@@ -59,41 +59,36 @@ def uniform_space(points) -> FiniteMeasureSpace:
 
 def validate_map(space: FiniteMeasureSpace, table) -> np.ndarray:
     """The table of a measure-preserving map, checked and returned as a
-    read-only int64 array.
+    read-only int64 array: the one-row case of TransformationFamily.create,
+    which states the checks."""
+    return TransformationFamily.create(space, [table]).tables[0]
 
-    Entries must be integer point indices: floats, bools and strings are
-    refused, never truncated. Mass conservation on a finite space forces
-    the map to permute the support; that is asserted structurally on top of
-    the tolerance-based pushforward test, so maps that shuffle mass below
-    tolerance are still rejected.
-    """
-    t = np.asarray(table)
-    if t.shape != (space.k,):
-        raise DimensionMismatch(
-            f"map table has shape {t.shape}, expected ({space.k},)"
-        )
-    if t.dtype.kind not in "iu":
-        raise ValidationError(f"map table must hold integer point indices, got {t.dtype} entries")
-    t = t.astype(np.int64)
-    if t.min() < 0 or t.max() >= space.k:
-        raise ValidationError("map table contains out-of-range point indices")
+
+def _check_tables(space: FiniteMeasureSpace, tables: np.ndarray) -> None:
+    """Raise the first fault of the first faulty row of an (n, k) int64
+    table, as one row checked alone would: an out-of-range index, then the
+    pushforward deviation, then support sent off-support, then a map that
+    is not injective on the support. Each check runs on all rows at once,
+    with flat bincounts over the index y * k + T_y(x)."""
+    n, k = tables.shape
     mu = space.mu.values
-    push = np.bincount(t, weights=mu, minlength=space.k)
-    dev = np.abs(push - mu)
-    worst = int(np.argmax(dev))
-    if dev[worst] > EPS_SUM:
-        raise NotMeasurePreserving(worst, float(dev[worst]))
-    hits = np.bincount(t[space.support], minlength=space.k)  # preimages in the support
-    if hits[mu == 0].any():
-        raise NotMeasurePreserving(
-            worst, float(dev[worst]), "map sends support points off-support"
-        )
-    if hits.max() > 1:
-        raise NotMeasurePreserving(
-            worst, float(dev[worst]), "map is not injective on the support"
-        )
-    t.setflags(write=False)
-    return t
+    out = (tables < 0) | (tables >= k)
+    flat = np.where(out, 0, tables) + np.arange(0, n * k, k)[:, None]
+    push = np.bincount(flat.ravel(), weights=np.tile(mu, n), minlength=n * k)
+    dev = np.abs(push.reshape(n, k) - mu)
+    hits = np.bincount(flat[:, space.support].ravel(), minlength=n * k).reshape(n, k)
+    off = hits[:, mu == 0].any(axis=1)  # a support point's image has no mass
+    faulty = out.any(axis=1) | (dev.max(axis=1) > EPS_SUM) | off | (hits.max(axis=1) > 1)
+    if not faulty.any():
+        return
+    y = int(faulty.argmax())
+    if out[y].any():
+        raise ValidationError("map table contains out-of-range point indices")
+    worst = int(np.argmax(dev[y]))
+    if dev[y, worst] > EPS_SUM:
+        raise NotMeasurePreserving(worst, float(dev[y, worst]))
+    detail = "map sends support points off-support" if off[y] else "map is not injective on the support"
+    raise NotMeasurePreserving(worst, float(dev[y, worst]), detail)
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,28 @@ class TransformationFamily:
 
     @classmethod
     def create(cls, space: FiniteMeasureSpace, tables) -> "TransformationFamily":
-        rows = [validate_map(space, t) for t in tables]
-        stacked = np.stack(rows) if rows else np.empty((0, space.k), dtype=np.int64)
+        """Check every map and hold them as one read-only int64 copy.
+
+        Each row, as np.asarray makes it, must have shape (k,) and hold
+        integer point indices: floats, bools and strings are refused, never
+        truncated. Mass conservation on a finite space forces each map to
+        permute the support; that is asserted structurally on top of the
+        tolerance-based pushforward test, so maps that shuffle mass below
+        tolerance are still rejected. The first faulty row's first fault is
+        raised.
+        """
+        rows = [np.asarray(t) for t in tables]
+        typed = next(
+            (y for y, t in enumerate(rows) if t.shape != (space.k,) or t.dtype.kind not in "iu"),
+            len(rows),
+        )
+        stacked = np.array(rows[:typed], dtype=np.int64).reshape(typed, space.k)
+        _check_tables(space, stacked)  # the rows before a mistyped one come first
+        if typed < len(rows):
+            t = rows[typed]
+            if t.shape != (space.k,):
+                raise DimensionMismatch(f"map table has shape {t.shape}, expected ({space.k},)")
+            raise ValidationError(f"map table must hold integer point indices, got {t.dtype} entries")
         stacked.setflags(write=False)
         return cls(space, stacked)
 

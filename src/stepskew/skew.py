@@ -136,10 +136,14 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
 
 
 def _pairs_by_class(labels: np.ndarray) -> list[np.ndarray]:
-    """Indices of the active pairs, in lexicographic order, grouped by class."""
+    """Indices of the active pairs, in lexicographic order, grouped by class:
+    for each label of a label array, the positions of its members among the
+    elements labelled >= 0, in index (row-major) order."""
     pair_class = labels[labels >= 0]
-    order = np.argsort(pair_class, kind="stable")
-    ends = np.cumsum(np.bincount(pair_class)).tolist()
+    counts = np.bincount(pair_class)
+    # numpy sorts keys of at most 16 bits stably by radix, in linear time.
+    order = np.argsort(pair_class.astype(np.min_scalar_type(len(counts))), kind="stable")
+    ends = np.cumsum(counts).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
@@ -189,20 +193,6 @@ class ErgodicityReport:
     @property
     def product_structured(self) -> bool:
         return self.sections is not None
-
-    @cached_property
-    def pair_states(self) -> tuple[tuple[int, int], ...]:
-        """The active (state, point) pairs in lexicographic order."""
-        ys, xs = np.nonzero(self.labels >= 0)
-        return tuple(zip(ys.tolist(), xs.tolist()))
-
-    @cached_property
-    def classes(self) -> Partition:
-        """The classes over the indices into pair_states: the grid's labels
-        of the active pairs, in lexicographic order."""
-        pair_class = self.labels[self.labels >= 0]
-        pair_class.setflags(write=False)
-        return Partition(pair_class, len(self.class_masses))
 
     def class_average(self, y: int, x: int, fv: np.ndarray) -> float:
         """Product-weighted average of f over the closed class of pair (y, x)."""

@@ -72,6 +72,24 @@ def cycle_class_labels(sys_: sk.SkewSystem) -> list[list[int]]:
     return labels
 
 
+def report_pairs(report: sk.ErgodicityReport) -> tuple[tuple[int, int], ...]:
+    """The active (state, point) pairs of a report's label grid, in
+    lexicographic order, by a pure-Python scan: the oracle for the pair
+    indices that class blocks and basis vectors use."""
+    grid = report.labels.tolist()
+    return tuple((y, x) for y, row in enumerate(grid) for x, c in enumerate(row) if c >= 0)
+
+
+def report_classes(report: sk.ErgodicityReport) -> tuple[frozenset[int], ...]:
+    """The closed classes as frozensets of indices into report_pairs, in
+    label order, by a pure-Python scan of the label grid."""
+    blocks: list[set[int]] = [set() for _ in report.class_masses]
+    labels = [c for row in report.labels.tolist() for c in row if c >= 0]
+    for i, c in enumerate(labels):
+        blocks[c].add(i)
+    return tuple(map(frozenset, blocks))
+
+
 def union_closure(blocks) -> set[frozenset]:
     """All unions of the given blocks, including the empty union."""
     sets = {frozenset()}

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import stepskew as sk
-from conftest import union_closure
+from conftest import report_classes, report_pairs, union_closure
 from stepskew.cli import config_system, main, render_config
 from stepskew.gallery import GALLERY_NAMES, gallery_config
 
@@ -43,8 +43,7 @@ def test_criterion_1_worked_example_reproduction():
     sys_ = config_system(gallery_config("bufetov_period2"))
     report = sk.is_skew_ergodic(sys_)
     assert not report.ergodic
-    pos = {p: i for i, p in enumerate(report.pair_states)}
-    k = report.classes.labels[pos[(0, 0)]]  # (state "0", point "1")
+    k = report.labels[0, 0]  # (state "0", point "1")
     assert abs(report.class_masses[k] - 1 / 3) <= 1e-12
     assert sk.is_irreducible(sys_.spec)
     assert not sk.is_strictly_irreducible(sys_.spec)
@@ -144,11 +143,9 @@ def test_criterion_4_oracle_equivalence():
         idx += 1
         sys_ = sk.SkewSystem.create(spec, family)
         report = sk.is_skew_ergodic(sys_)
-        if len(report.pair_states) > 16:
+        if len(report_pairs(report)) > 16:
             continue
-        assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(
-            report.classes.blocks
-        )
+        assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(report_classes(report))
         lattices += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

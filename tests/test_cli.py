@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -65,6 +66,59 @@ def test_parse_rejects_incomplete_family():
     del doc["family"]["1"]
     with pytest.raises(sk.ParseError):
         parse_config(json.dumps(doc))
+
+
+# Malformed family documents: the field and message each must name, with
+# the offenders in document order.
+MALFORMED_FAMILIES = {
+    "unknown labels": (
+        lambda d: d["family"].__setitem__("1", ["9", "1", None]),
+        "family.1",
+        "unknown point labels ['9', None]",
+    ),
+    "unhashable labels": (
+        lambda d: d["family"].__setitem__("1", [3, "x", ["2"]]),
+        "family.1",
+        "unknown point labels [3, 'x', ['2']]",
+    ),
+    "an object label": (
+        lambda d: d["family"].__setitem__("1", ["1", {"p": 1}, "1"]),
+        "family.1",
+        "unknown point labels [{'p': 1}]",
+    ),
+    "unknown states": (
+        lambda d: d["family"].update({"7": ["1", "2", "3"], "0x": ["1", "2", "3"]}),
+        "family",
+        "maps for unknown states ['7', '0x']",
+    ),
+    "a missing state": (lambda d: d["family"].pop("0"), "family", "missing maps for states ['0']"),
+    "images not a list": (
+        lambda d: d["family"].__setitem__("0", "123"),
+        "family.0",
+        "expected a list of 3 point labels",
+    ),
+    "short images": (
+        lambda d: d["family"].__setitem__("1", ["1", "2"]),
+        "family.1",
+        "expected a list of 3 point labels",
+    ),
+    "duplicate points": (
+        lambda d: d["space"].__setitem__("points", ["1", "1", "3"]),
+        "space.points",
+        "labels must be unique",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+def test_parse_error_names_field_and_first_offenders(case):
+    mutate, field, reason = MALFORMED_FAMILIES[case]
+    doc = json.loads(render_config(gallery_config("bufetov_period2")))
+    mutate(doc)
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.field == field
+    assert str(err.value) == f"config field '{field}': {reason}"
 
 
 def test_row_sum_failure_delegated():
@@ -324,6 +378,71 @@ def test_check_computes_each_sim_partition_once(monkeypatch, command, name):
     if command == "cmd_check":
         assert calls["sim_classes"] == calls["dual_sim_classes"] == 1
     assert len({id(system) for system in owners}) == len(owners)
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_check_then_skew_analyse_the_config_once(monkeypatch, name):
+    # One kernel labelling, one build of the strict routes and one check of
+    # the config's family across both commands; the counterexample systems
+    # share the config's spec, and their own two-point families are checked
+    # apart.
+    import stepskew.dynamics as dynamics
+    import stepskew.kernels as kernels
+
+    labelled, routes, checked = [], [], []
+    closed = kernels.StochasticMatrix.__dict__["closed_classes"]
+
+    def label(kernel, _original=closed.func):
+        labelled.append(kernel)
+        return _original(kernel)
+
+    def build_routes(spec, _original=kernels.strict_irreducibility_routes):
+        routes.append(spec)
+        return _original(spec)
+
+    def check_tables(space, tables, _original=dynamics._check_tables):
+        checked.append(space)
+        return _original(space, tables)
+
+    monkeypatch.setattr(closed, "func", label)
+    monkeypatch.setattr(kernels, "strict_irreducibility_routes", build_routes)
+    monkeypatch.setattr(dynamics, "_check_tables", check_tables)
+    cfg = gallery_config(name)
+    cmd_check(cfg)
+    cmd_skew(cfg)
+    assert len(labelled) == 1 and labelled[0] is cfg.spec.kernel
+    assert len(routes) == 1 and routes[0] is cfg.spec
+    assert sum(space is cfg.system.family.space for space in checked) == 1
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_reports_render_partitions_from_labels(name):
+    # The text reads the label arrays; only deterministic_sets, in check,
+    # builds the sim partition's frozenset blocks.
+    cfg = gallery_config(name)
+    cmd_skew(cfg)
+    spec, system = cfg.spec, cfg.system
+    partitions = [spec.sim, spec.dual_sim, system.family_partition, system.closed_classes.sections]
+    assert all("blocks" not in vars(part) for part in partitions if part is not None)
+    cmd_check(cfg)
+    assert "blocks" not in vars(spec.dual_sim)
+
+
+def test_check_passes_a_config_whose_only_fault_is_a_map(tmp_path, capsys):
+    # check never builds the family; skew reports the map's fault as before.
+    good = gallery_config("bufetov_period2")
+    cfg = dataclasses.replace(good, family=(("0", ("2", "3", "1")), ("1", ("1", "1", "2"))))
+    assert cmd_check(cfg) == cmd_check(good)
+    with pytest.raises(sk.NotMeasurePreserving) as err:
+        cmd_skew(cfg)
+    assert str(err.value) == "map is not measure preserving (worst point 0, deviation 3.333e-01)"
+    assert (err.value.point, err.value.deviation) == (0, 1 / 3)
+    path = tmp_path / "bad_map.json"
+    path.write_text(render_config(cfg))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["skew", str(path)]) == 1
+    assert "not measure preserving" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+from stepskew.kernels import EPS_SUM
 
 GEN = sk.GeneratorConfig(
     seed=2222, n_points=(2, 5), family_style="mu-level-set-permutations"
@@ -107,6 +110,127 @@ def test_sub_tolerance_mass_shuffle_still_rejected():
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5 - 1e-10, 1e-10])
     with pytest.raises(sk.NotMeasurePreserving):
         sk.validate_map(space, [0, 1, 1])
+
+
+# Families whose first faulty row is not the first row, with the exception
+# the family check raises: (type, message, point, deviation). The values are
+# those the per-map check raised on the faulty row alone before the family
+# was checked in one pass; the last two cases put a later row's fault of an
+# earlier kind behind the first faulty row.
+NOT_INTEGER = "map table must hold integer point indices, got {} entries"
+SUB_TOL = 1.000000082740371e-10
+FAULTY_FAMILIES = {
+    "float": (
+        [0.5, 0.5], [[1, 0], [0, 1], [0.0, 1.0]],
+        (sk.ValidationError, NOT_INTEGER.format("float64"), None, None),
+    ),
+    "bool": (
+        [0.5, 0.5], [[1, 0], [0, 1], [True, False]],
+        (sk.ValidationError, NOT_INTEGER.format("bool"), None, None),
+    ),
+    "string": (
+        [0.5, 0.5], [[1, 0], [0, 1], ["1", "0"]],
+        (sk.ValidationError, NOT_INTEGER.format("<U1"), None, None),
+    ),
+    "short": (
+        [0.5, 0.5], [[1, 0], [0, 1], [1]],
+        (sk.DimensionMismatch, "map table has shape (1,), expected (2,)", None, None),
+    ),
+    "out_of_range": (
+        [0.5, 0.5], [[1, 0], [0, 1], [1, 2]],
+        (sk.ValidationError, "map table contains out-of-range point indices", None, None),
+    ),
+    "negative": (
+        [0.5, 0.5], [[1, 0], [0, 1], [-1, 0]],
+        (sk.ValidationError, "map table contains out-of-range point indices", None, None),
+    ),
+    "pushforward": (
+        [0.4, 0.4, 0.2], [[1, 0, 2], [0, 1, 2], [0, 0, 2]],
+        (
+            sk.NotMeasurePreserving,
+            "map is not measure preserving (worst point 0, deviation 4.000e-01)",
+            0,
+            0.4,
+        ),
+    ),
+    "off_support": (
+        [0.5, 0.5 - 2e-10, 1e-10, 1e-10, 0.0],
+        [[0, 1, 3, 2, 4], [0, 1, 2, 3, 0], [0, 1, 4, 1, 4]],
+        (
+            sk.NotMeasurePreserving,
+            "map is not measure preserving (worst point 1, deviation 1.000e-10): "
+            "map sends support points off-support",
+            1,
+            SUB_TOL,
+        ),
+    ),
+    "sub_tolerance_shuffle": (
+        [0.25, 0.25, 0.5 - 1e-10, 1e-10], [[1, 0, 2, 3], [0, 1, 2, 3], [0, 1, 2, 2]],
+        (
+            sk.NotMeasurePreserving,
+            "map is not measure preserving (worst point 2, deviation 1.000e-10): "
+            "map is not injective on the support",
+            2,
+            SUB_TOL,
+        ),
+    ),
+    "pushforward_before_float": (
+        [0.5, 0.5], [[1, 0], [0, 0], [0.0, 1.0]],
+        (
+            sk.NotMeasurePreserving,
+            "map is not measure preserving (worst point 0, deviation 5.000e-01)",
+            0,
+            0.5,
+        ),
+    ),
+    "injectivity_before_range": (
+        [0.25, 0.25, 0.5 - 1e-10, 1e-10], [[1, 0, 2, 3], [0, 1, 2, 2], [0, 1, 2, 4]],
+        (
+            sk.NotMeasurePreserving,
+            "map is not measure preserving (worst point 2, deviation 1.000e-10): "
+            "map is not injective on the support",
+            2,
+            SUB_TOL,
+        ),
+    ),
+}
+
+
+def family_forms(rows):
+    """The rows as lists, as one array per row and, when they share a shape
+    and an integer type, as one (n, k) array."""
+    forms = {"lists": rows, "row arrays": [np.asarray(r) for r in rows]}
+    table = np.asarray(rows) if len({len(r) for r in rows}) == 1 else None
+    if table is not None and table.dtype.kind == "i" and not any(
+        isinstance(v, bool) for r in rows for v in r
+    ):
+        forms["table"] = table
+    return forms
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_FAMILIES))
+def test_family_check_raises_the_per_map_fault_of_the_first_faulty_row(case):
+    mu, rows, (kind, message, point, deviation) = FAULTY_FAMILIES[case]
+    space = sk.FiniteMeasureSpace.create(tuple("abcde"[: len(mu)]), mu)
+    for form, tables in family_forms(rows).items():
+        with pytest.raises(sk.ValidationError) as err:
+            sk.TransformationFamily.create(space, tables)
+        assert type(err.value) is kind, form
+        assert str(err.value) == message, form
+        assert getattr(err.value, "point", None) == point, form
+        assert getattr(err.value, "deviation", None) == deviation, form
+    # The faulty row alone gives the same fault, unless a row before it is
+    # the first faulty one.
+    if not case.endswith(("_before_float", "_before_range")):
+        with pytest.raises(kind, match=re.escape(message)):
+            sk.validate_map(space, rows[-1])
+
+
+def test_family_check_leaves_the_callers_table_alone():
+    table = np.array([[1, 0], [0, 1]], dtype=np.int32)
+    family = sk.TransformationFamily.create(sk.uniform_space(("a", "b")), table)
+    assert family.tables.dtype == np.int64 and not family.tables.flags.writeable
+    assert table.flags.writeable and family.tables.base is not table
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +389,69 @@ def test_condexp_zero_off_support():
     out = sk.conditional_expectation(family, [0], [1.0, 3.0, 9.0])
     assert out[2] == 0.0
     assert np.allclose(out[:2], [2.0, 2.0])
+
+
+def per_map_check(space, table) -> np.ndarray:
+    """One map checked alone, in the order the family check keeps: shape,
+    integer type, range, pushforward, support kept, injectivity. The
+    reference the one-pass family check is compared against."""
+    t = np.asarray(table)
+    if t.shape != (space.k,):
+        raise sk.DimensionMismatch(f"map table has shape {t.shape}, expected ({space.k},)")
+    if t.dtype.kind not in "iu":
+        raise sk.ValidationError(f"map table must hold integer point indices, got {t.dtype} entries")
+    t = t.astype(np.int64)
+    if t.min() < 0 or t.max() >= space.k:
+        raise sk.ValidationError("map table contains out-of-range point indices")
+    mu = space.mu.values
+    dev = np.abs(np.bincount(t, weights=mu, minlength=space.k) - mu)
+    worst = int(np.argmax(dev))
+    if dev[worst] > EPS_SUM:
+        raise sk.NotMeasurePreserving(worst, float(dev[worst]))
+    hits = np.bincount(t[space.support], minlength=space.k)
+    if hits[mu == 0].any():
+        raise sk.NotMeasurePreserving(worst, float(dev[worst]), "map sends support points off-support")
+    if hits.max() > 1:
+        raise sk.NotMeasurePreserving(worst, float(dev[worst]), "map is not injective on the support")
+    return t
+
+
+def fault(call):
+    try:
+        call()
+    except sk.ValidationError as e:
+        return type(e), str(e), getattr(e, "point", None), getattr(e, "deviation", None)
+    return None
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_family_check_matches_the_per_map_loop(idx):
+    # Level-set permutations on a space with tied, zero and sub-tolerance
+    # masses, some rows broken by a repeated image, an out-of-range index or
+    # float entries.
+    rng = np.random.default_rng(idx)
+    k = int(rng.integers(2, 7))
+    mu = rng.choice([0.0, 1e-10, 1.0, 2.0], size=k)
+    mu[0] = max(mu[0], 1.0)
+    space = sk.FiniteMeasureSpace.create(tuple("abcdefg"[:k]), mu / mu.sum())
+    rows = []
+    for _ in range(int(rng.integers(1, 5))):
+        row = np.arange(k)
+        for level in np.unique(mu):
+            pts = np.flatnonzero(mu == level)
+            row[pts] = rng.permutation(pts)
+        kind = rng.integers(0, 8)
+        x, y = rng.integers(0, k, size=2)
+        if kind == 0:
+            row[x] = row[y]
+        elif kind == 1:
+            row[x] = k + int(y) if y % 2 else -1
+        elif kind == 2:
+            row = row.astype(float)
+        rows.append(row.tolist() if rng.random() < 0.5 else row)
+    want = next((f for f in (fault(lambda r=r: per_map_check(space, r)) for r in rows) if f), None)
+    assert fault(lambda: sk.TransformationFamily.create(space, rows)) == want
+    if want is None:
+        tables = sk.TransformationFamily.create(space, rows).tables
+        assert tables.tolist() == [per_map_check(space, r).tolist() for r in rows]

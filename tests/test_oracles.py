@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
-from conftest import spec_of, system_of, union_closure
+from conftest import report_classes, report_pairs, spec_of, system_of, union_closure
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_bf_invariant_bufetov_lattice(bufetov_system):
     lattice = sk.brute_force_invariant_sets(bufetov_system)
     assert len(lattice) == 8  # three independent 2-cycles
     report = sk.is_skew_ergodic(bufetov_system)
-    assert set(lattice) == union_closure(report.classes.blocks)
+    assert set(lattice) == union_closure(report_classes(report))
 
 
 def test_bf_invariant_ergodic_trivial(rotation_system):
@@ -65,7 +65,7 @@ def test_bf_invariant_ergodic_trivial(rotation_system):
 def test_bf_invariant_too_large():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.25] * 4))
     sys_ = system_of(spec, [[0, 1, 2, 3, 4]] * 4)
-    assert len(sk.is_skew_ergodic(sys_).pair_states) == 20
+    assert len(report_pairs(sk.is_skew_ergodic(sys_))) == 20
     with pytest.raises(sk.TooLarge):
         sk.brute_force_invariant_sets(sys_)
 

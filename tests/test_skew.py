@@ -19,6 +19,8 @@ from conftest import (
     ergodic_family,
     periodic_system,
     reference_pair_kernel,
+    report_classes,
+    report_pairs,
     spec_of,
     system_of,
     union_closure,
@@ -58,8 +60,8 @@ def test_pair_chain_deterministic_rows(bufetov_system):
     assert kernel.shape == (6, 6)
     assert ((kernel > 0).sum(axis=1) == 1).all()
     analysis = bufetov_system.closed_classes
-    assert len(analysis.pair_states) == 6
-    assert analysis.classes.blocks == oracle_classes(bufetov_system)
+    assert len(report_pairs(analysis)) == 6
+    assert report_classes(analysis) == oracle_classes(bufetov_system)
     assert np.allclose(analysis.class_masses, 1 / 3)
 
 
@@ -67,7 +69,7 @@ def test_pair_chain_identity_family_edges():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[0, 1], [0, 1]])
     kernel = reference_pair_kernel(sys_)
-    pos = {p: i for i, p in enumerate(sys_.closed_classes.pair_states)}
+    pos = {p: i for i, p in enumerate(report_pairs(sys_.closed_classes))}
     for (y, x), i in pos.items():
         for z in (0, 1):
             assert kernel[i, pos[(z, x)]] == pytest.approx(0.5)
@@ -80,7 +82,7 @@ def test_pair_chain_single_state_is_functional_graph():
     sys_ = system_of(spec, [[1, 2, 0]])
     assert ((reference_pair_kernel(sys_) > 0).sum(axis=1) == 1).all()
     analysis = sys_.closed_classes
-    assert analysis.pair_states == ((0, 0), (0, 1), (0, 2))
+    assert report_pairs(analysis) == ((0, 0), (0, 1), (0, 2))
     assert analysis.labels.tolist() == [[0, 0, 0]]
 
 
@@ -146,10 +148,10 @@ def test_pair_chain_matches_double_loop_build(idx, zero_points, identity_share):
     spec, mu = sys_.spec, sys_.family.space.mu.values
     analysis = sys_.closed_classes
     want = tuple((int(y), int(x)) for y in spec.support for x in np.flatnonzero(mu))
-    assert analysis.pair_states == want
+    assert report_pairs(analysis) == want
     assert len(want) <= 64
-    assert analysis.classes.blocks == oracle_classes(sys_)
-    for c, block in enumerate(analysis.classes.blocks):
+    assert report_classes(analysis) == oracle_classes(sys_)
+    for c, block in enumerate(report_classes(analysis)):
         assert {analysis.labels[want[i]] for i in block} == {c}
     assert (analysis.labels >= 0).sum() == len(want)
     assert section_blocks(analysis) == counted_sections(sys_)
@@ -181,8 +183,6 @@ def test_limits_and_basis_leave_pair_lists_unbuilt(bufetov_system, rotation_syst
         sk.check_product_structure(sys_)
         sk.exact_birkhoff_limit(sys_, 0, 1, f)
         sk.exact_cesaro_limit(sys_, f, base.family.space.k - 1)
-        assert "pair_states" not in vars(sys_.closed_classes)
-        assert "classes" not in vars(sys_.closed_classes)
         # No partition has built its frozenset blocks: they read labels only.
         partitions = [spec.sim, spec.dual_sim, sys_.family_partition, sys_.closed_classes.sections]
         assert all("blocks" not in vars(part) for part in partitions if part is not None)
@@ -192,7 +192,7 @@ def test_pair_chain_skips_zero_mass_states_and_points():
     spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
     sys_ = system_of(spec, [[1, 0, 1], [0, 1, 0]], mu=[0.5, 0.5, 0.0])
     analysis = sys_.closed_classes
-    assert analysis.pair_states == ((0, 0), (0, 1))
+    assert report_pairs(analysis) == ((0, 0), (0, 1))
     assert analysis.labels.tolist() == [[0, 0, -1], [-1, -1, -1]]
     assert (reference_pair_kernel(sys_) == [[0.0, 1.0], [1.0, 0.0]]).all()
 
@@ -240,7 +240,7 @@ def test_pair_chain_stationarity(idx):
     sys_ = sk.SkewSystem.create(spec, family)
     analysis = sys_.closed_classes  # passes its own invariance check
     stationary = np.array(
-        [spec.m.values[y] * space.mu.values[x] for y, x in analysis.pair_states]
+        [spec.m.values[y] * space.mu.values[x] for y, x in report_pairs(analysis)]
     )
     kernel = reference_pair_kernel(sys_)
     assert np.abs(stationary @ kernel - stationary).max() <= 1e-12
@@ -271,8 +271,8 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
     blocks = {frozenset(range(a, b)) for a, b in spans}
     assert set(sys_.family_partition.blocks) == blocks
     report = sk.is_skew_ergodic(sys_)
-    assert len(report.pair_states) == n * k
-    assert len(report.classes.blocks) == 4
+    assert len(report_pairs(report)) == n * k
+    assert len(report_classes(report)) == 4
     assert set(report.sections.blocks) == blocks
     assert sk.check_product_structure(sys_)
     assert len(sk.invariant_function_basis(sys_)) == 4
@@ -323,11 +323,10 @@ def test_periodic_driving_classes_at_ninety_thousand_pairs():
 def test_skew_not_ergodic_with_third_mass_class(bufetov_system):
     report = sk.is_skew_ergodic(bufetov_system)
     assert not report.ergodic
-    pos = {p: i for i, p in enumerate(report.pair_states)}
-    k = report.classes.labels[pos[(0, 0)]]  # driving state 0, point "1"
-    target = report.classes.blocks[k]
+    k = report.labels[0, 0]  # driving state 0, point "1"
+    pairs = report_pairs(report)
     assert report.class_masses[k] == pytest.approx(1 / 3, abs=1e-12)
-    assert {report.pair_states[i] for i in target} == {(0, 0), (1, 1)}
+    assert {pairs[i] for i in report_classes(report)[k]} == {(0, 0), (1, 1)}
     assert not report.product_structured
 
 
@@ -343,7 +342,7 @@ def test_identity_family_never_ergodic():
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
     report = sk.is_skew_ergodic(sys_)
     assert not report.ergodic
-    assert len(report.classes.blocks) == 3
+    assert len(report_classes(report)) == 3
     assert report.product_structured
 
 
@@ -370,7 +369,7 @@ def test_basis_identity_family_strictly_irreducible():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.4, 0.6]))
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
     basis = sk.invariant_function_basis(sys_)
-    pairs = sk.is_skew_ergodic(sys_).pair_states
+    pairs = report_pairs(sk.is_skew_ergodic(sys_))
     assert len(basis) == 3
     # each indicator is 1 (tensor) 1_C for a singleton block C of the fiber
     for g in basis:
@@ -400,7 +399,7 @@ def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
     space = sk.generate_space(cfg, index=idx)
     family = sk.generate_family(cfg, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    assert len(sys_.closed_classes.pair_states) <= 64
+    assert len(report_pairs(sys_.closed_classes)) <= 64
     # one fixed direction per closed class (Perron-Frobenius on each)
     kernel = reference_pair_kernel(sys_)
     assert whole_matrix_fixed_dim(kernel) == len(sys_.closed_classes.class_masses)
@@ -412,7 +411,7 @@ def test_per_class_fixed_dim_planted_three_classes():
     spec = spec_of([[0.5, 0.5], [0.3, 0.7]], [0.375, 0.625])
     sys_ = system_of(spec, [[1, 2, 0, 4, 3, 5], [2, 0, 1, 3, 4, 5]])
     analysis = sys_.closed_classes
-    assert sorted(len(b) for b in analysis.classes.blocks) == [2, 4, 6]
+    assert sorted(len(b) for b in report_classes(analysis)) == [2, 4, 6]
     assert whole_matrix_fixed_dim(reference_pair_kernel(sys_)) == 3
     assert len(sk.invariant_function_basis(sys_)) == 3
 
@@ -460,12 +459,13 @@ def test_counterexample_period2_both_swap(period2_spec):
     report = sk.is_skew_ergodic(sys_)
     assert not report.ergodic
     witness = sk.counterexample_invariant_set(period2_spec)
-    pos = {p: i for i, p in enumerate(report.pair_states)}
+    pos = {p: i for i, p in enumerate(report_pairs(report))}
     mu = sys_.family.space.mu.values
     mass = sum(float(sys_.spec.m.values[y] * mu[x]) for y, x in witness)
     assert mass == pytest.approx(0.5, abs=1e-12)
     # the witness is a union of closed classes
-    blocks = {report.classes.blocks[report.classes.labels[pos[p]]] for p in witness}
+    classes = report_classes(report)
+    blocks = {classes[report.labels[p]] for p in witness}
     assert {i for b in blocks for i in b} == {pos[p] for p in witness}
 
 
@@ -504,7 +504,7 @@ def test_base_counterexample_identity_kernel_classes():
     spec = spec_of(np.eye(2), [0.5, 0.5])
     sys_ = sk.build_base_counterexample(spec)
     report = sk.is_skew_ergodic(sys_)
-    assert len(report.classes.blocks) == 3
+    assert len(report_classes(report)) == 3
     assert not report.product_structured
     lattice = sk.brute_force_invariant_sets(sys_)
     assert len(lattice) == 8
@@ -616,8 +616,6 @@ def test_classes_match_brute_force_lattice(idx):
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     report = sk.is_skew_ergodic(sys_)
-    if len(report.pair_states) > 16:
+    if len(report_pairs(report)) > 16:
         return
-    assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(
-        report.classes.blocks
-    )
+    assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(report_classes(report))
