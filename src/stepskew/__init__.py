@@ -11,9 +11,7 @@ from .dynamics import (
     TransformationFamily,
     conditional_expectation,
     family_invariant_partition,
-    is_family_ergodic,
     uniform_space,
-    validate_map,
 )
 from .ergodic import (
     birkhoff_average,
@@ -46,12 +44,10 @@ from .kernels import (
     MarkovSpec,
     ProbVector,
     StochasticMatrix,
-    deterministic_check,
     deterministic_sets,
     dual_sim_classes,
     is_irreducible,
     is_strictly_irreducible,
-    kernel_product,
     reach_set,
     reverse_kernel,
     sim_classes,
@@ -77,7 +73,6 @@ from .skew import (
     check_product_structure,
     counterexample_invariant_set,
     invariant_function_basis,
-    is_skew_ergodic,
 )
 
 __version__ = "0.1.0"

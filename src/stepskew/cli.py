@@ -35,7 +35,6 @@ from .skew import (
     build_counterexample_family,
     check_product_structure,
     counterexample_invariant_set,
-    is_skew_ergodic,
 )
 
 DEFAULT_HORIZONS = (100, 1_000, 10_000, 100_000)
@@ -59,7 +58,10 @@ def _floats(values, field: str) -> tuple[float, ...]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(field, f"expected a number, got {v!r}")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ParseError(field, "integer too large for a float") from None
     return tuple(out)
 
 
@@ -77,6 +79,8 @@ def parse_config(text: str) -> SystemConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("document", f"invalid JSON at line {e.lineno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # the integer digit limit, deep nesting
+        raise ParseError("document", str(e).split(";")[0]) from None
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
     states = _labels(_require(doc, "states", list), "states")
@@ -153,13 +157,8 @@ def render_config(cfg: SystemConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def config_spec(cfg: SystemConfig) -> MarkovSpec:
-    """The config's spec, built once and cached on the config."""
-    return cfg.spec
-
-
 def config_system(cfg: SystemConfig) -> SkewSystem:
-    """The config's skew system over its spec, built once and cached on the config."""
+    """The config's skew system over its spec: cfg.system, as a function."""
     return cfg.system
 
 
@@ -185,7 +184,7 @@ def _bool(b) -> str:
 
 def cmd_check(cfg: SystemConfig) -> str:
     """Kernel-level report: invariance, reachability classes, reversal."""
-    spec = config_spec(cfg)
+    spec = cfg.spec
     labels = cfg.states
     dev = float(np.abs(spec.m.values @ spec.kernel.values - spec.m.values).max())
     lines = [
@@ -217,9 +216,9 @@ def cmd_check(cfg: SystemConfig) -> str:
 
 def cmd_skew(cfg: SystemConfig) -> str:
     """Skew-product report: family invariants, classes, product structure."""
-    sys_ = config_system(cfg)
+    sys_ = cfg.system
     sigma = sys_.family_partition
-    report = is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     lines = [
         f"FAMILY_ERGODIC: {_bool(sigma.trivial)}",
         "SIGMA_PARTITION: " + _partition_str(cfg.points, sigma),
@@ -248,7 +247,7 @@ def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
         counter = build_counterexample_family(spec)
         title = "ergodic two-point family with non-ergodic skew product"
         witness = counterexample_invariant_set(spec)
-    verdict = is_skew_ergodic(counter)
+    verdict = counter.closed_classes
     swaps = spec.support[counter.family.tables[spec.support, 0] == 1]
     lines = [
         f"COUNTEREXAMPLE: {title}",
@@ -293,7 +292,7 @@ def cmd_simulate(
     x_label: str | None = None,
 ) -> str:
     """Run the convergence experiment and return its CSV."""
-    sys_ = config_system(cfg)
+    sys_ = cfg.system
     label, f = _resolve_function(cfg, f_name)
     if x_label is None:
         x = int(sys_.family.space.support[0])
@@ -372,8 +371,12 @@ def main(argv=None) -> int:
             else:
                 _sys.stdout.write(text)
             return 0
-        with open(args.file) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError("document", f"not UTF-8 at byte {e.start}") from None
+        cfg = parse_config(text)
         if args.command == "check":
             _sys.stdout.write(cmd_check(cfg))
         elif args.command == "skew":

@@ -57,13 +57,6 @@ def uniform_space(points) -> FiniteMeasureSpace:
     return FiniteMeasureSpace.create(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
-def validate_map(space: FiniteMeasureSpace, table) -> np.ndarray:
-    """The table of a measure-preserving map, checked and returned as a
-    read-only int64 array: the one-row case of TransformationFamily.create,
-    which states the checks."""
-    return TransformationFamily.create(space, [table]).tables[0]
-
-
 def _check_tables(space: FiniteMeasureSpace, tables: np.ndarray) -> None:
     """Raise the first fault of the first faulty row of an (n, k) int64
     table, as one row checked alone would: an out-of-range index, then the
@@ -144,11 +137,6 @@ def family_invariant_partition(family: TransformationFamily, active) -> Partitio
     act = _state_mask(active, family.n_states, "active set")
     supp = family.space.support
     return undirected_components(family.space.mu.values > 0, supp, family.tables[act][:, supp])
-
-
-def is_family_ergodic(family: TransformationFamily, active) -> bool:
-    """True when the only invariant sets have trivial mass (one block)."""
-    return family_invariant_partition(family, active).trivial
 
 
 def conditional_expectation(

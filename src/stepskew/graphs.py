@@ -176,10 +176,6 @@ def _tarjan_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partitio
     return _partition(np.array(labels, dtype=np.intp), len(comps))
 
 
-def is_strongly_connected(adj: np.ndarray) -> bool:
-    return strongly_connected_components(adj).n_blocks == 1
-
-
 def closed_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
     """The SCCs that no edge tails[i] -> heads[i] leaves; others are labelled -1.
 

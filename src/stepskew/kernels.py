@@ -38,7 +38,7 @@ from .errors import (
 from .graphs import (
     Partition,
     closed_components,
-    is_strongly_connected,
+    strongly_connected_components,
     undirected_components,
 )
 
@@ -109,10 +109,6 @@ class ProbVector:
         supp = np.flatnonzero(self.values)
         supp.setflags(write=False)
         return supp
-
-    def mass(self, indices) -> float:
-        idx = list(indices)
-        return float(self.values[idx].sum()) if idx else 0.0
 
 
 @dataclass(frozen=True)
@@ -193,15 +189,6 @@ class MarkovSpec:
 
 
 @dataclass(frozen=True)
-class ReachReport:
-    """Forward-reachability closure of a target set."""
-
-    target: frozenset[int]
-    u_set: frozenset[int]
-    per_step: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
 class DeterministicSetFamily:
     """Deterministic sets of a spec.
 
@@ -275,33 +262,21 @@ def stationary_distribution(kernel: StochasticMatrix) -> ProbVector:
     return ProbVector.from_values(v)
 
 
-def kernel_product(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    """Matrix product of two kernels (composition of the chains' steps)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"cannot multiply {a.n}-state by {b.n}-state kernel")
-    return StochasticMatrix.from_rows(a.values @ b.values)
-
-
-def reach_set(spec: MarkovSpec, b) -> ReachReport:
+def reach_set(spec: MarkovSpec, b) -> frozenset[int]:
     """States from which the target set is hit with positive probability.
 
     Pattern-exact forward reachability restricted to the support of m. The
     n-step layers stabilize within |support| steps, so the union over that
     range is the full closure.
     """
-    hit = _state_mask(b, spec.n, "target")
-    target = frozenset(np.flatnonzero(hit).tolist())
     supp = spec.support
     pat = spec.kernel.pattern[np.ix_(supp, supp)]
-    cur = hit[supp]
-    layers: list[frozenset[int]] = []
+    cur = _state_mask(b, spec.n, "target")[supp]
     total = np.zeros(len(supp), dtype=bool)
     for _ in range(len(supp)):
         cur = pat @ cur  # y is in the next layer iff some successor is in cur
-        layers.append(frozenset(int(supp[k]) for k in np.flatnonzero(cur)))
         total |= cur
-    u_set = frozenset(int(supp[k]) for k in np.flatnonzero(total))
-    return ReachReport(target, u_set, tuple(layers))
+    return frozenset(supp[total].tolist())
 
 
 def is_irreducible(spec: MarkovSpec) -> bool:
@@ -400,16 +375,9 @@ def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
     return {
         "sim": spec.sim.trivial,
         "dual_sim": spec.dual_sim.trivial,
-        "gram": is_strongly_connected((p.T @ p) > 0),
-        "dual_gram": is_strongly_connected((p @ p.T) > 0),
+        "gram": strongly_connected_components((p.T @ p) > 0).n_blocks == 1,
+        "dual_gram": strongly_connected_components((p @ p.T) > 0).n_blocks == 1,
     }
-
-
-def deterministic_check(spec: MarkovSpec, b) -> bool:
-    """Whether each active row's support lies inside b or inside its complement."""
-    inside = _state_mask(b, spec.n, "set")
-    rows = spec.kernel.pattern[spec.support]
-    return not ((rows & inside).any(axis=1) & (rows & ~inside).any(axis=1)).any()
 
 
 def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:

@@ -204,11 +204,6 @@ class ErgodicityReport:
         return float(w @ fv[pts])
 
 
-def is_skew_ergodic(sys: SkewSystem) -> ErgodicityReport:
-    """Decide ergodicity of the skew product from the pair chain's classes."""
-    return sys.closed_classes
-
-
 def invariant_function_basis(sys: SkewSystem) -> list[np.ndarray]:
     """Indicator vectors of the closed classes, over the pairs in
     lexicographic order.

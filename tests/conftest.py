@@ -104,7 +104,7 @@ def ergodic_family(cfg, space, n_states, index, active=None, tries=60):
         active = range(n_states)
     for t in range(tries):
         fam = sk.generate_family(cfg, space, n_states, index=index * tries + t)
-        if sk.is_family_ergodic(fam, active):
+        if sk.family_invariant_partition(fam, active).trivial:
             return fam
     return None
 

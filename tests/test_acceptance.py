@@ -41,7 +41,7 @@ def _strict_system_pool(seed, count, bias=0.25):
 def test_criterion_1_worked_example_reproduction():
     t0 = time.perf_counter()
     sys_ = config_system(gallery_config("bufetov_period2"))
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     assert not report.ergodic
     k = report.labels[0, 0]  # (state "0", point "1")
     assert abs(report.class_masses[k] - 1 / 3) <= 1e-12
@@ -76,18 +76,18 @@ def test_criterion_2_equivalence_suite():
                 )
                 salt += 1
                 assert salt < 200, "ergodic family generation stalled"
-                if not sk.is_family_ergodic(family, spec.support):
+                if not sk.family_invariant_partition(family, spec.support).trivial:
                     continue
                 got += 1
-                report = sk.is_skew_ergodic(sk.SkewSystem.create(spec, family))
+                report = sk.SkewSystem.create(spec, family).closed_classes
                 assert report.ergodic, f"forward direction failed at spec {idx}"
             strict_checked += 1
         elif sk.is_irreducible(spec):
             sys_ = sk.build_counterexample_family(spec)
-            assert sk.is_family_ergodic(sys_.family, spec.support), (
+            assert sys_.family_partition.trivial, (
                 f"counterexample family not ergodic at spec {idx}"
             )
-            assert not sk.is_skew_ergodic(sys_).ergodic, (
+            assert not sys_.closed_classes.ergodic, (
                 f"counterexample skew product ergodic at spec {idx}"
             )
             counterexample_checked += 1
@@ -142,7 +142,7 @@ def test_criterion_4_oracle_equivalence():
         family = sk.generate_family(cfg_b, space, states=spec.n, index=idx)
         idx += 1
         sys_ = sk.SkewSystem.create(spec, family)
-        report = sk.is_skew_ergodic(sys_)
+        report = sys_.closed_classes
         if len(report_pairs(report)) > 16:
             continue
         assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(report_classes(report))

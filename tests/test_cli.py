@@ -16,7 +16,6 @@ from stepskew.cli import (
     cmd_check,
     cmd_simulate,
     cmd_skew,
-    config_spec,
     main,
     parse_config,
     render_config,
@@ -125,14 +124,13 @@ def test_row_sum_failure_delegated():
     doc = json.loads(render_config(gallery_config("bufetov_period2")))
     doc["kernel"][0] = [0.0, 0.9]
     with pytest.raises(sk.RowNotStochastic):
-        config_spec(parse_config(json.dumps(doc)))
+        parse_config(json.dumps(doc)).spec
 
 
 def test_missing_stationary_is_computed():
     doc = json.loads(render_config(gallery_config("bufetov_period2")))
     del doc["stationary"]
-    cfg = parse_config(json.dumps(doc))
-    spec = config_spec(cfg)
+    spec = parse_config(json.dumps(doc)).spec
     assert spec.m.values == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -140,7 +138,7 @@ def test_missing_stationary_ambiguous_kernel_fails():
     doc = json.loads(render_config(gallery_config("nonergodic_base")))
     del doc["stationary"]
     with pytest.raises(sk.MultipleStationary):
-        config_spec(parse_config(json.dumps(doc)))
+        parse_config(json.dumps(doc)).spec
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +254,33 @@ def test_main_refuses_mass_on_a_transient_state(tmp_path, capsys, command):
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "state 0" in err
+    assert "Traceback" not in err
+
+
+def _period2_with_first_kernel_entry(literal: str) -> bytes:
+    text = render_config(gallery_config("bufetov_period2"))
+    doc = text.replace('"kernel": [\n    [\n      0.0', '"kernel": [\n    [\n      ' + literal, 1)
+    assert doc != text
+    return doc.encode()
+
+
+# Documents that once ended in a Python traceback, and the field each names.
+MALFORMED = {
+    "invalid_utf8": (b"\xff\xfe" + render_config(gallery_config("bufetov_period2")).encode(), "document"),
+    "deep_nesting": (b"[" * 100_000, "document"),
+    "int_beyond_float": (_period2_with_first_kernel_entry("9" * 401), "kernel[0]"),
+    "int_beyond_digit_limit": (_period2_with_first_kernel_entry("9" * 5_000), "document"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_main_reports_a_malformed_document_without_a_traceback(tmp_path, capsys, case):
+    data, field = MALFORMED[case]
+    path = tmp_path / "malformed.json"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ")
     assert "Traceback" not in err
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import re
 from pathlib import Path
+
+import stepskew
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +37,15 @@ def test_readme_entry_points_resolve():
     ]
     assert sum(map(len, table.values())) >= 50
     assert not missing, f"README names entry points that do not exist: {missing}"
+
+
+def test_readme_table_names_every_reexport():
+    table = entry_point_table()
+    unlisted = sorted(
+        f"{module}.{name}"
+        for name, obj in vars(stepskew).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and (module := obj.__module__.removeprefix("stepskew.")) in table
+        and name not in table[module]
+    )
+    assert not unlisted, f"re-exported but missing from the README table: {unlisted}"

@@ -28,16 +28,20 @@ def test_empty_uniform_space_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# validate_map
+# one map: the one-row case of the family check
 # ---------------------------------------------------------------------------
+def one_map(space, table):
+    return sk.TransformationFamily.create(space, [table]).tables[0]
+
+
 def test_three_cycle_valid():
-    mp = sk.validate_map(uniform3(), [1, 2, 0])
+    mp = one_map(uniform3(), [1, 2, 0])
     assert mp[0] == 1 and mp[2] == 0
 
 
 def test_identity_valid():
     space = sk.FiniteMeasureSpace.create(("a", "b"), [0.7, 0.3])
-    mp = sk.validate_map(space, [0, 1])
+    mp = one_map(space, [0, 1])
     assert list(mp) == [0, 1]
 
 
@@ -48,7 +52,7 @@ def test_identity_valid():
 def test_non_integer_table_is_refused(table):
     space = sk.uniform_space(("a", "b"))
     with pytest.raises(sk.ValidationError, match="integer point indices"):
-        sk.validate_map(space, table)
+        one_map(space, table)
     with pytest.raises(sk.ValidationError, match="integer point indices"):
         sk.TransformationFamily.create(space, [[0, 1], table])
 
@@ -56,7 +60,7 @@ def test_non_integer_table_is_refused(table):
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
 def test_integer_table_is_returned_read_only_int64(dtype):
     table = np.array([1, 0], dtype=dtype)
-    mp = sk.validate_map(sk.uniform_space(("a", "b")), table)
+    mp = one_map(sk.uniform_space(("a", "b")), table)
     assert mp.dtype == np.int64 and list(mp) == [1, 0] and not mp.flags.writeable
     assert table.flags.writeable  # the caller's array is left alone
 
@@ -72,27 +76,27 @@ def test_family_of_no_maps_is_refused_by_the_system():
 def test_constant_map_rejected():
     space = sk.uniform_space(("a", "b"))
     with pytest.raises(sk.NotMeasurePreserving) as err:
-        sk.validate_map(space, [0, 0])
+        one_map(space, [0, 0])
     assert err.value.deviation == pytest.approx(0.5)
 
 
 def test_level_swap_on_unequal_masses_rejected():
     space = sk.FiniteMeasureSpace.create(("a", "b"), [0.7, 0.3])
     with pytest.raises(sk.NotMeasurePreserving):
-        sk.validate_map(space, [1, 0])
+        one_map(space, [1, 0])
 
 
 def test_off_support_points_are_free():
     # point 2 has zero mass; collapsing it onto the support is fine
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
-    mp = sk.validate_map(space, [1, 0, 0])
+    mp = one_map(space, [1, 0, 0])
     assert mp[2] == 0
 
 
 def test_support_leak_rejected():
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5, 0.0])
     with pytest.raises(sk.NotMeasurePreserving):
-        sk.validate_map(space, [1, 2, 0])
+        one_map(space, [1, 2, 0])
 
 
 def test_off_support_is_reported_before_non_injective():
@@ -101,7 +105,7 @@ def test_off_support_is_reported_before_non_injective():
     mu = [0.5, 0.5 - 2e-10, 1e-10, 1e-10, 0.0]
     space = sk.FiniteMeasureSpace.create(("a", "b", "c", "d", "e"), mu)
     with pytest.raises(sk.NotMeasurePreserving, match="sends support points off-support"):
-        sk.validate_map(space, [0, 1, 4, 1, 4])
+        one_map(space, [0, 1, 4, 1, 4])
 
 
 def test_sub_tolerance_mass_shuffle_still_rejected():
@@ -109,7 +113,7 @@ def test_sub_tolerance_mass_shuffle_still_rejected():
     # on the support; the structural assertion must catch it
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.5 - 1e-10, 1e-10])
     with pytest.raises(sk.NotMeasurePreserving):
-        sk.validate_map(space, [0, 1, 1])
+        one_map(space, [0, 1, 1])
 
 
 # Families whose first faulty row is not the first row, with the exception
@@ -223,7 +227,7 @@ def test_family_check_raises_the_per_map_fault_of_the_first_faulty_row(case):
     # the first faulty one.
     if not case.endswith(("_before_float", "_before_range")):
         with pytest.raises(kind, match=re.escape(message)):
-            sk.validate_map(space, rows[-1])
+            one_map(space, rows[-1])
 
 
 def test_family_check_leaves_the_callers_table_alone():
@@ -240,7 +244,7 @@ def test_cycle_pair_family_ergodic():
     family = sk.TransformationFamily.create(uniform3(), [[1, 2, 0], [2, 0, 1]])
     part = sk.family_invariant_partition(family, [0, 1])
     assert part.blocks == (frozenset({0, 1, 2}),)
-    assert sk.is_family_ergodic(family, [0, 1])
+    assert part.trivial
 
 
 def test_support_and_table_matrix_are_built_once():
@@ -259,7 +263,7 @@ def test_identity_family_not_ergodic():
     family = sk.TransformationFamily.create(space, [[0, 1, 2, 3]])
     part = sk.family_invariant_partition(family, [0])
     assert part.n_blocks == 4
-    assert not sk.is_family_ergodic(family, [0])
+    assert not part.trivial
 
 
 def test_id_and_swap_family_ergodic_with_swap_active():
@@ -267,7 +271,7 @@ def test_id_and_swap_family_ergodic_with_swap_active():
     family = sk.TransformationFamily.create(space, [[0, 1], [1, 0]])
     part = sk.family_invariant_partition(family, [0, 1])
     assert part.blocks == (frozenset({0, 1}),)
-    assert sk.is_family_ergodic(family, [0, 1])
+    assert part.trivial
 
 
 def test_active_set_convention_pins_partition():

@@ -211,5 +211,5 @@ def test_labeller_on_a_shuffled_path_and_a_star():
 def test_empty_graph_and_partition():
     part = graphs.undirected_components(np.zeros(0, dtype=bool), np.arange(0), np.arange(0))
     assert part.labels.tolist() == [] and part.n_blocks == 0 and part.blocks == ()
-    assert graphs.strongly_connected_components(np.zeros((0, 0), dtype=bool)).blocks == ()
-    assert not graphs.is_strongly_connected(np.zeros((0, 0), dtype=bool))
+    empty = graphs.strongly_connected_components(np.zeros((0, 0), dtype=bool))
+    assert empty.blocks == () and empty.n_blocks == 0

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import stepskew as sk
 import stepskew.kernels
 from conftest import spec_of
-from stepskew.cli import config_spec
 from stepskew.gallery import gallery_config
-from stepskew.graphs import is_strongly_connected, strongly_connected_components
+from stepskew.graphs import strongly_connected_components
 
 GEN = sk.GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
 WIDE_GEN = sk.GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degenerate_bias=0.35)
@@ -117,14 +116,14 @@ def test_closed_classes_are_decided_once_per_kernel(monkeypatch):
     monkeypatch.setattr(stepskew.kernels, "closed_components", counting)
     period2 = gallery_config("bufetov_period2")
     # stationary vector solved: one closed class, so irreducible
-    spec = config_spec(replace(period2, stationary=None))
+    spec = replace(period2, stationary=None).spec
     assert sk.is_irreducible(spec) and sk.is_irreducible(spec)
     with pytest.raises(sk.NotApplicable):
         sk.build_base_counterexample(spec)
     assert calls == [2]
     # stationary vector (0.5, 0.5) supplied, on two closed classes
     calls.clear()
-    spec = config_spec(replace(period2, kernel=((1.0, 0.0), (0.0, 1.0))))
+    spec = replace(period2, kernel=((1.0, 0.0), (0.0, 1.0))).spec
     assert not sk.is_irreducible(spec) and not sk.is_irreducible(spec)
     sk.build_base_counterexample(spec)
     assert calls == [2]
@@ -206,49 +205,19 @@ def test_stationary_with_transient_state():
 
 
 # ---------------------------------------------------------------------------
-# kernel_product
-# ---------------------------------------------------------------------------
-def test_product_involution():
-    p = sk.StochasticMatrix.from_rows([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(sk.kernel_product(p, p).values, np.eye(2))
-
-
-def test_product_identity_law():
-    p = sk.StochasticMatrix.from_rows([[0.3, 0.7], [0.6, 0.4]])
-    ident = sk.StochasticMatrix.from_rows(np.eye(2))
-    assert np.allclose(sk.kernel_product(p, ident).values, p.values)
-
-
-def test_product_hand_multiplied():
-    a = sk.StochasticMatrix.from_rows([[0.5, 0.5], [0.0, 1.0]])
-    assert np.allclose(sk.kernel_product(a, a).values, [[0.25, 0.75], [0.0, 1.0]])
-
-
-def test_product_dimension_mismatch():
-    a = sk.StochasticMatrix.from_rows([[1.0]])
-    b = sk.StochasticMatrix.from_rows(np.eye(2))
-    with pytest.raises(sk.DimensionMismatch):
-        sk.kernel_product(a, b)
-
-
-# ---------------------------------------------------------------------------
 # reach_set
 # ---------------------------------------------------------------------------
 def test_reach_period2(period2_spec):
-    rep = sk.reach_set(period2_spec, {0})
-    assert rep.u_set == {0, 1}
-    assert rep.per_step[0] == frozenset({1})
-    assert rep.per_step[1] == frozenset({0})
-    assert frozenset().union(*rep.per_step) == rep.u_set
+    assert sk.reach_set(period2_spec, {0}) == frozenset({0, 1})
 
 
 def test_reach_empty_target(period2_spec):
-    assert sk.reach_set(period2_spec, set()).u_set == frozenset()
+    assert sk.reach_set(period2_spec, set()) == frozenset()
 
 
 def test_reach_identity_kernel():
     spec = spec_of(np.eye(2), [0.5, 0.5])
-    assert sk.reach_set(spec, {0}).u_set == {0}
+    assert sk.reach_set(spec, {0}) == {0}
 
 
 # Not state indices of a 2- or 3-state kernel: out of range, negative, a
@@ -260,7 +229,7 @@ NOT_STATES = [99, 3, -1, 0.9, 1.0, True, False, np.True_, "0"]
 def test_reach_set_refuses_non_indices(period2_spec, bad):
     with pytest.raises(sk.ValidationError, match="not a state index"):
         sk.reach_set(period2_spec, {bad})
-    assert sk.reach_set(period2_spec, np.array([1])).target == {1}
+    assert sk.reach_set(period2_spec, np.array([1])) == {0, 1}
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -270,12 +239,12 @@ def test_reach_positive_mass_and_closure(idx):
     supp = spec.support.tolist()
     rng = np.random.default_rng(idx)
     b = {int(y) for y in rng.choice(supp, size=rng.integers(1, len(supp) + 1), replace=False)}
-    rep = sk.reach_set(spec, b)
-    assert spec.m.mass(rep.u_set) > 0
+    u = sk.reach_set(spec, b)
+    assert spec.m.values[sorted(u)].sum() > 0
     # no structural escape from outside U into U
-    outside = set(spec.support.tolist()) - rep.u_set
+    outside = set(spec.support.tolist()) - u
     for y in outside:
-        assert not any(int(z) in rep.u_set for z in spec.kernel.row_support(int(y)))
+        assert not any(int(z) in u for z in spec.kernel.row_support(int(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +412,8 @@ def test_gram_routes_in_float64_match_int64(idx, cfg):
     p, q = pat.astype(np.int64), pat.astype(np.float64)
     assert ((q.T @ q) == (p.T @ p)).all() and ((q @ q.T) == (p @ p.T)).all()
     routes = sk.strict_irreducibility_routes(spec)
-    assert routes["gram"] == is_strongly_connected((p.T @ p) > 0)
-    assert routes["dual_gram"] == is_strongly_connected((p @ p.T) > 0)
+    assert routes["gram"] == (strongly_connected_components((p.T @ p) > 0).n_blocks == 1)
+    assert routes["dual_gram"] == (strongly_connected_components((p @ p.T) > 0).n_blocks == 1)
 
 
 def test_spec_caches_its_sim_partitions_and_routes(period2_spec):
@@ -498,22 +467,13 @@ def test_strict_depends_only_on_pattern(idx):
 # deterministic sets
 # ---------------------------------------------------------------------------
 def test_deterministic_check_period2(period2_spec):
-    assert sk.deterministic_check(period2_spec, {0})
-    assert sk.deterministic_check(period2_spec, set())
-    assert sk.deterministic_check(period2_spec, {0, 1})
-
-
-@pytest.mark.parametrize("bad", NOT_STATES)
-def test_deterministic_check_refuses_non_indices(bufetov_system, bad):
-    spec = bufetov_system.spec
-    with pytest.raises(sk.ValidationError, match="not a state index"):
-        sk.deterministic_check(spec, [0, bad])
-    assert sk.deterministic_check(spec, np.arange(spec.n))
+    sets = sk.deterministic_sets(period2_spec).sets
+    assert {frozenset({0}), frozenset(), frozenset({0, 1})} <= set(sets)
 
 
 def test_deterministic_check_bernoulli_straddles():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
-    assert not sk.deterministic_check(spec, {0})
+    assert frozenset({0}) not in sk.deterministic_sets(spec).sets
 
 
 def test_deterministic_sets_period2(period2_spec):
@@ -551,6 +511,7 @@ def test_deterministic_sets_match_brute_force(idx):
 @settings(max_examples=60, deadline=None)
 def test_deterministic_check_matches_definition(idx):
     spec = sk.generate_spec(GEN, index=idx)
+    sets = set(sk.deterministic_sets(spec).sets)
     supp = spec.support.tolist()
     rng = np.random.default_rng(idx + 7)
     for _ in range(8):
@@ -562,7 +523,7 @@ def test_deterministic_check_matches_definition(idx):
             row = {int(z) for z in spec.kernel.row_support(y)}
             if row & b and not row <= b:
                 expected = False
-        assert sk.deterministic_check(spec, b) == expected
+        assert (b in sets) == expected
 
 
 def test_deterministic_sets_blocks_only_when_capped():

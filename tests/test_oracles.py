@@ -51,7 +51,7 @@ def test_bf_deterministic_ignores_zero_mass_states():
 def test_bf_invariant_bufetov_lattice(bufetov_system):
     lattice = sk.brute_force_invariant_sets(bufetov_system)
     assert len(lattice) == 8  # three independent 2-cycles
-    report = sk.is_skew_ergodic(bufetov_system)
+    report = bufetov_system.closed_classes
     assert set(lattice) == union_closure(report_classes(report))
 
 
@@ -65,7 +65,7 @@ def test_bf_invariant_ergodic_trivial(rotation_system):
 def test_bf_invariant_too_large():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.25] * 4))
     sys_ = system_of(spec, [[0, 1, 2, 3, 4]] * 4)
-    assert len(report_pairs(sk.is_skew_ergodic(sys_))) == 20
+    assert len(report_pairs(sys_.closed_classes)) == 20
     with pytest.raises(sk.TooLarge):
         sk.brute_force_invariant_sets(sys_)
 
@@ -105,7 +105,7 @@ def test_probe_is_one_sided_on_constant_function():
     # though the skew product over a frozen chain is not ergodic
     spec = spec_of(np.eye(2), [0.5, 0.5])
     sys_ = system_of(spec, [[0], [0]], points=("1",), mu=[1.0])
-    assert not sk.is_skew_ergodic(sys_).ergodic
+    assert not sys_.closed_classes.ergodic
     report = sk.statistical_ergodicity_probe(sys_, seed=3, trials=30, horizon=500)
     assert report.spread == 0.0
     assert not report.non_ergodic
@@ -124,7 +124,7 @@ def test_probe_agrees_with_decision_on_gallery():
 
     for name in GALLERY_NAMES:
         sys_ = config_system(gallery_config(name))
-        decided = sk.is_skew_ergodic(sys_).ergodic
+        decided = sys_.closed_classes.ergodic
         probe = sk.statistical_ergodicity_probe(sys_, seed=2024)
         assert probe.non_ergodic == (not decided), (
             f"{name}: probe spread {probe.spread:.4f} disagrees with decision"
@@ -177,8 +177,7 @@ def test_generated_families_validate():
     for idx in range(30):
         space = sk.generate_space(cfg, index=idx)
         fam = sk.generate_family(cfg, space, states=3, index=idx)
-        for table in fam.tables:
-            sk.validate_map(space, table)
+        sk.TransformationFamily.create(space, fam.tables)
 
 
 def test_level_set_constraint_respected():

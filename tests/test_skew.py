@@ -220,7 +220,7 @@ def test_pair_chain_built_once_per_system(monkeypatch):
     spec = spec_of([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     sys_ = system_of(spec, [[1, 2, 0, 3], [2, 0, 1, 3]])
     f = np.array([1.0, 0.0, 0.0, 2.0])
-    sk.is_skew_ergodic(sys_)
+    sys_.closed_classes
     sk.check_product_structure(sys_)
     sk.invariant_function_basis(sys_)
     for y in (0, 1):
@@ -270,7 +270,7 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
     sys_ = system_of(spec, tables, mu=mu)
     blocks = {frozenset(range(a, b)) for a, b in spans}
     assert set(sys_.family_partition.blocks) == blocks
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     assert len(report_pairs(report)) == n * k
     assert len(report_classes(report)) == 4
     assert set(report.sections.blocks) == blocks
@@ -318,10 +318,10 @@ def test_periodic_driving_classes_at_ninety_thousand_pairs():
 
 
 # ---------------------------------------------------------------------------
-# is_skew_ergodic
+# SkewSystem.closed_classes: skew ergodicity
 # ---------------------------------------------------------------------------
 def test_skew_not_ergodic_with_third_mass_class(bufetov_system):
-    report = sk.is_skew_ergodic(bufetov_system)
+    report = bufetov_system.closed_classes
     assert not report.ergodic
     k = report.labels[0, 0]  # driving state 0, point "1"
     pairs = report_pairs(report)
@@ -331,7 +331,7 @@ def test_skew_not_ergodic_with_third_mass_class(bufetov_system):
 
 
 def test_skew_ergodic_rotation(rotation_system):
-    report = sk.is_skew_ergodic(rotation_system)
+    report = rotation_system.closed_classes
     assert report.ergodic
     assert report.product_structured
     assert report.class_masses[0] == pytest.approx(1.0, abs=1e-12)
@@ -340,7 +340,7 @@ def test_skew_ergodic_rotation(rotation_system):
 def test_identity_family_never_ergodic():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.4, 0.6]))
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     assert not report.ergodic
     assert len(report_classes(report)) == 3
     assert report.product_structured
@@ -369,7 +369,7 @@ def test_basis_identity_family_strictly_irreducible():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.4, 0.6]))
     sys_ = system_of(spec, [[0, 1, 2], [0, 1, 2]])
     basis = sk.invariant_function_basis(sys_)
-    pairs = report_pairs(sk.is_skew_ergodic(sys_))
+    pairs = report_pairs(sys_.closed_classes)
     assert len(basis) == 3
     # each indicator is 1 (tensor) 1_C for a singleton block C of the fiber
     for g in basis:
@@ -455,8 +455,8 @@ def test_product_structure_true_for_strictly_irreducible(idx):
 def test_counterexample_period2_both_swap(period2_spec):
     sys_ = sk.build_counterexample_family(period2_spec)
     assert sys_.family.tables.tolist() == [[1, 0], [1, 0]]
-    assert sk.is_family_ergodic(sys_.family, period2_spec.support)
-    report = sk.is_skew_ergodic(sys_)
+    assert sys_.family_partition.trivial
+    report = sys_.closed_classes
     assert not report.ergodic
     witness = sk.counterexample_invariant_set(period2_spec)
     pos = {p: i for i, p in enumerate(report_pairs(report))}
@@ -492,8 +492,8 @@ def test_counterexample_four_state_block_spec():
         [0.25] * 4,
     )
     sys_ = sk.build_counterexample_family(spec)
-    report = sk.is_skew_ergodic(sys_)
-    assert sk.is_family_ergodic(sys_.family, spec.support)
+    report = sys_.closed_classes
+    assert sys_.family_partition.trivial
     assert not report.ergodic
     assert not report.product_structured
 
@@ -503,7 +503,7 @@ def test_base_counterexample_identity_kernel_classes():
     # 8-element invariant-set lattice
     spec = spec_of(np.eye(2), [0.5, 0.5])
     sys_ = sk.build_base_counterexample(spec)
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     assert len(report_classes(report)) == 3
     assert not report.product_structured
     lattice = sk.brute_force_invariant_sets(sys_)
@@ -521,7 +521,7 @@ def test_base_counterexample_block_diagonal():
         [0.25] * 4,
     )
     sys_ = sk.build_base_counterexample(spec)
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     assert not report.ergodic
     assert not report.product_structured
 
@@ -537,7 +537,7 @@ def test_base_counterexample_breaks_product_structure(idx):
     spec = sk.generate_spec(GEN, index=idx)
     if sk.is_irreducible(spec):
         return
-    report = sk.is_skew_ergodic(sk.build_base_counterexample(spec))
+    report = sk.build_base_counterexample(spec).closed_classes
     assert not report.ergodic
     assert not report.product_structured
 
@@ -548,7 +548,7 @@ def reach_set_swap_states(spec: sk.MarkovSpec) -> list[int]:
     closure misses part of the support and swaps the states in it."""
     supp = set(spec.support.tolist())
     for b in sorted(supp):
-        u = sk.reach_set(spec, {b}).u_set
+        u = sk.reach_set(spec, {b})
         if not supp <= u:
             return sorted(u)
     raise AssertionError("reducible kernel has no reachability witness")
@@ -582,7 +582,7 @@ def test_forward_direction_sampled(idx):
     family = ergodic_family(GEN, space, spec.n, index=idx, active=spec.support)
     if family is None:
         return
-    assert sk.is_skew_ergodic(sk.SkewSystem.create(spec, family)).ergodic
+    assert sk.SkewSystem.create(spec, family).closed_classes.ergodic
 
 
 @given(st.integers(min_value=0, max_value=800))
@@ -592,8 +592,8 @@ def test_converse_direction_sampled(idx):
     if sk.is_strictly_irreducible(spec) or not sk.is_irreducible(spec):
         return
     sys_ = sk.build_counterexample_family(spec)
-    assert sk.is_family_ergodic(sys_.family, spec.support)
-    assert not sk.is_skew_ergodic(sys_).ergodic
+    assert sys_.family_partition.trivial
+    assert not sys_.closed_classes.ergodic
 
 
 @given(st.integers(min_value=0, max_value=800))
@@ -603,8 +603,8 @@ def test_easy_direction(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    if sk.is_skew_ergodic(sys_).ergodic:
-        assert sk.is_family_ergodic(family, spec.support)
+    if sys_.closed_classes.ergodic:
+        assert sk.family_invariant_partition(family, spec.support).trivial
         assert sk.is_irreducible(spec)
 
 
@@ -615,7 +615,7 @@ def test_classes_match_brute_force_lattice(idx):
     space = sk.generate_space(GEN, index=idx)
     family = sk.generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
-    report = sk.is_skew_ergodic(sys_)
+    report = sys_.closed_classes
     if len(report_pairs(report)) > 16:
         return
     assert set(sk.brute_force_invariant_sets(sys_)) == union_closure(report_classes(report))
