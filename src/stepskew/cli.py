@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys as _sys
+from itertools import islice
 
 import numpy as np
 
@@ -57,7 +59,7 @@ def _floats(values, field: str) -> tuple[float, ...]:
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(field, f"expected a number, got {v!r}")
+            raise ParseError(field, f"expected a number, got {reprlib.repr(v)}")
         try:
             out.append(float(v))
         except OverflowError:
@@ -70,6 +72,10 @@ def _labels(values, field: str) -> tuple[str, ...]:
         raise ParseError(field, "must be a non-empty list of strings")
     if len(set(values)) != len(values):
         raise ParseError(field, "labels must be unique")
+    try:
+        "".join(values).encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate: valid JSON, but no report prints it
+        raise ParseError(field, f"{e.object[e.start]!r} is not UTF-8 text") from None
     return tuple(values)
 
 
@@ -106,11 +112,11 @@ def parse_config(text: str) -> SystemConfig:
     fam_doc = _require(doc, "family", dict)
     missing = [s for s in states if s not in fam_doc]
     if missing:
-        raise ParseError("family", f"missing maps for states {missing}")
+        raise ParseError("family", f"missing maps for states {reprlib.repr(missing)}")
     known_states = dict.fromkeys(states)
     extra = [s for s in fam_doc if s not in known_states]
     if extra:
-        raise ParseError("family", f"maps for unknown states {extra}")
+        raise ParseError("family", f"maps for unknown states {reprlib.repr(extra)}")
     known_points = dict.fromkeys(points)
     family = []
     for s in states:
@@ -119,7 +125,7 @@ def parse_config(text: str) -> SystemConfig:
             raise ParseError(f"family.{s}", f"expected a list of {len(points)} point labels")
         bad = [p for p in images if not isinstance(p, str) or p not in known_points]
         if bad:
-            raise ParseError(f"family.{s}", f"unknown point labels {bad}")
+            raise ParseError(f"family.{s}", f"unknown point labels {reprlib.repr(bad)}")
         family.append((s, tuple(images)))
     function = None
     if doc.get("function") is not None:
@@ -127,6 +133,7 @@ def parse_config(text: str) -> SystemConfig:
         name = fn.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError("function.name", "must be a non-empty string")
+        _labels([name], "function.name")  # its UTF-8 check
         values = _require(fn, "values", list, "function.")
         if len(values) != len(points):
             raise ParseError("function.values", f"expected {len(points)} entries")
@@ -199,14 +206,11 @@ def cmd_check(cfg: SystemConfig) -> str:
         "DUAL_SIM_CLASSES: " + _partition_str(labels, spec.dual_sim),
     ]
     family = deterministic_sets(spec)
-    shown = family.sets[:64]
+    shown = [_set_str(labels, s) for s in islice(family.sets, 65)]
+    if len(shown) > 64:
+        shown[64] = "..."  # 64 sets, and a mark that more follow
     tag = "complete" if family.complete else "blocks-only"
-    suffix = " ..." if len(family.sets) > len(shown) else ""
-    lines.append(
-        f"DETERMINISTIC_SETS ({tag}): "
-        + " ".join(_set_str(labels, s) for s in shown)
-        + suffix
-    )
+    lines.append(f"DETERMINISTIC_SETS ({tag}): " + " ".join(shown))
     rev = reverse_kernel(spec)
     lines.append("REVERSE_KERNEL:")
     for i, label in enumerate(labels):
@@ -264,20 +268,15 @@ def _counterexample_lines(cfg: SystemConfig, spec: MarkovSpec) -> list[str]:
 
 
 def _resolve_function(cfg: SystemConfig, name: str | None) -> tuple[str, np.ndarray]:
-    k = len(cfg.points)
     if name is None:
-        if cfg.function is not None:
-            return cfg.function[0], np.asarray(cfg.function[1], dtype=float)
-        name = f"indicator:{cfg.points[0]}"
+        name = f"indicator:{cfg.points[0]}" if cfg.function is None else cfg.function[0]
     if cfg.function is not None and name == cfg.function[0]:
         return name, np.asarray(cfg.function[1], dtype=float)
     if name.startswith("indicator:"):
         label = name.split(":", 1)[1]
         if label not in cfg.points:
             raise ValidationError(f"unknown point label {label!r} in --f")
-        f = np.zeros(k)
-        f[cfg.points.index(label)] = 1.0
-        return name, f
+        return name, (np.arange(len(cfg.points)) == cfg.points.index(label)).astype(float)
     raise ValidationError(
         f"unknown function {name!r}; use the config function name or indicator:<point>"
     )
@@ -294,12 +293,9 @@ def cmd_simulate(
     """Run the convergence experiment and return its CSV."""
     sys_ = cfg.system
     label, f = _resolve_function(cfg, f_name)
-    if x_label is None:
-        x = int(sys_.family.space.support[0])
-    else:
-        if x_label not in cfg.points:
-            raise ValidationError(f"unknown point label {x_label!r} in --x")
-        x = cfg.points.index(x_label)
+    if x_label is not None and x_label not in cfg.points:
+        raise ValidationError(f"unknown point label {x_label!r} in --x")
+    x = int(sys_.family.space.support[0]) if x_label is None else cfg.points.index(x_label)
     trace = ergodic.convergence_report(
         sys_,
         f,

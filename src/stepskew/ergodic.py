@@ -360,9 +360,8 @@ def orbit_occupancy(
 def system_digest(sys: SkewSystem) -> str:
     """Short content hash of a skew system, for trace metadata."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(sys.spec.kernel.values).tobytes())
-    h.update(np.ascontiguousarray(sys.spec.m.values).tobytes())
-    h.update(np.ascontiguousarray(sys.family.space.mu.values).tobytes())
+    for values in (sys.spec.kernel.values, sys.spec.m.values, sys.family.space.mu.values):
+        h.update(np.ascontiguousarray(values).tobytes())
     h.update("|".join(sys.family.space.points).encode())
     h.update(sys.family.tables.tobytes())
     return h.hexdigest()[:16]

@@ -21,6 +21,7 @@ from the support.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -46,7 +47,7 @@ from .graphs import (
 EPS_ZERO = 1e-12
 # Tolerance for row sums, stationarity, and pushforward checks.
 EPS_SUM = 1e-9
-# Cap on explicit union enumeration in deterministic_sets (2**20 sets).
+# Most sim blocks whose 2**b unions deterministic_sets offers as a lattice.
 MAX_ENUM_BLOCKS = 20
 
 
@@ -188,16 +189,50 @@ class MarkovSpec:
         return MappingProxyType(strict_irreducibility_routes(self))
 
 
+class UnionLattice:
+    """The 2^b unions of b disjoint blocks, lazily, in (size, sorted members) order.
+
+    A heap walks the tree of increasing index sequences over the blocks sorted
+    by (size, least member): the union ending at block i has the successors
+    "add block i+1" and "replace block i by block i+1". The blocks are
+    disjoint, so neither step lowers the order key, and the heap pops the
+    unions in order. len and membership read the blocks alone.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(sorted(blocks, key=lambda b: (len(b), min(b))))
+
+    def __len__(self) -> int:
+        return 1 << len(self.blocks)
+
+    def __contains__(self, s) -> bool:
+        if not isinstance(s, (set, frozenset)):
+            return False
+        hit = [b for b in self.blocks if not b.isdisjoint(s)]
+        return all(b <= s for b in hit) and sum(map(len, hit)) == len(s)
+
+    def __iter__(self):
+        blocks, heap = self.blocks, [(0, [], -1, frozenset())]
+        while heap:
+            _, _, i, s = heapq.heappop(heap)
+            yield s
+            if i + 1 < len(blocks):
+                nxt = blocks[i + 1]
+                # the set drops the duplicate: at the root (i = -1) both are block 0
+                for t in {s | nxt, (s - blocks[i]) | nxt}:
+                    heapq.heappush(heap, (len(t), sorted(t), i + 1, t))
+
+
 @dataclass(frozen=True)
 class DeterministicSetFamily:
     """Deterministic sets of a spec.
 
     When ``complete`` is true, ``sets`` is the full lattice (including the
-    empty set); otherwise ``sets`` holds only the generating blocks and the
-    lattice is their closure under unions.
+    empty set) as a lazy UnionLattice; otherwise ``sets`` holds only the
+    generating blocks and the lattice is their closure under unions.
     """
 
-    sets: tuple[frozenset[int], ...]
+    sets: UnionLattice | tuple[frozenset[int], ...]
     complete: bool
 
 
@@ -389,12 +424,7 @@ def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
     blocks = spec.sim.blocks
     if len(blocks) > MAX_ENUM_BLOCKS:
         return DeterministicSetFamily(blocks, complete=False)
-    # The blocks are disjoint, so doubling over them gives 2^b distinct unions.
-    sets: list[frozenset[int]] = [frozenset()]
-    for block in blocks:
-        sets += [s | block for s in sets]
-    sets.sort(key=lambda s: (len(s), sorted(s)))
-    return DeterministicSetFamily(tuple(sets), complete=True)
+    return DeterministicSetFamily(UnionLattice(blocks), complete=True)
 
 
 def trivial_kernel(m: ProbVector) -> MarkovSpec:

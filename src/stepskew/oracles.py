@@ -71,13 +71,8 @@ def brute_force_deterministic_sets(spec: MarkovSpec) -> list[frozenset[int]]:
     supp = [int(y) for y in spec.support]
     if len(supp) > _ENUM_STATE_CAP:
         raise TooLarge(f"support has {len(supp)} states, cap is {_ENUM_STATE_CAP}")
-    row_masks = []
     local = {y: k for k, y in enumerate(supp)}
-    for y in supp:
-        mask = 0
-        for z in spec.kernel.row_support(y):
-            mask |= 1 << local[int(z)]
-        row_masks.append(mask)
+    row_masks = [sum(1 << local[int(z)] for z in spec.kernel.row_support(y)) for y in supp]
     out = []
     for sub in range(1 << len(supp)):
         if all((rm & sub) == 0 or (rm & sub) == rm for rm in row_masks):
@@ -100,25 +95,13 @@ def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
     if size > _ENUM_PAIR_CAP:
         raise TooLarge(f"{size} pair states, cap is {_ENUM_PAIR_CAP}")
     pos = {p: i for i, p in enumerate(pairs)}
-    succ = [0] * size
-    for i, (y, x) in enumerate(pairs):
-        tx = int(family.tables[y, x])
-        for z in spec.kernel.row_support(y):
-            succ[i] |= 1 << pos[(int(z), tx)]
+    tables = family.tables.tolist()
+    succ = [sum(1 << pos[(int(z), tables[y][x])] for z in spec.kernel.row_support(y)) for y, x in pairs]
     full = (1 << size) - 1
     out = []
     for sub in range(1 << size):
-        comp = full ^ sub
-        ok = True
-        for i in range(size):
-            if sub >> i & 1:
-                if succ[i] & comp:
-                    ok = False
-                    break
-            elif succ[i] & sub:
-                ok = False
-                break
-        if ok:
+        # members step only inside sub, non-members only outside it
+        if not any(succ[i] & (full ^ sub if sub >> i & 1 else sub) for i in range(size)):
             out.append(frozenset(k for k in range(size) if sub >> k & 1))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
@@ -208,12 +191,10 @@ def _stitch_two_block(
             rows[y].add(v2[i % len(v2)])
         for j, z in enumerate(v2):
             rows[z].add(v1[(j + 1) % len(v1)])
-        for y in v1:
-            extra = int(rng.integers(0, 2))
-            rows[y].update(int(t) for t in rng.choice(v2, size=min(extra, len(v2)), replace=False))
-        for z in v2:
-            extra = int(rng.integers(0, 2))
-            rows[z].update(int(t) for t in rng.choice(v1, size=min(extra, len(v1)), replace=False))
+        for block, other in ((v1, v2), (v2, v1)):
+            for y in block:
+                extra = int(rng.integers(0, 2))
+                rows[y].update(int(t) for t in rng.choice(other, size=min(extra, len(other)), replace=False))
     else:
         for block in (v1, v2):
             for i, y in enumerate(block):
@@ -293,7 +274,6 @@ def generate_family(
     for _ in range(states):
         table = np.empty(space.k, dtype=np.int64)
         for idx in groups.values():
-            img = rng.permutation(idx)
-            table[idx] = img
+            table[idx] = rng.permutation(idx)
         tables.append(table)
     return TransformationFamily.create(space, tables)

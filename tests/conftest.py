@@ -90,11 +90,17 @@ def report_classes(report: sk.ErgodicityReport) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, blocks))
 
 
-def union_closure(blocks) -> set[frozenset]:
-    """All unions of the given blocks, including the empty union."""
-    sets = {frozenset()}
-    for b in blocks:
-        sets |= {s | b for s in sets}
+def sorted_unions(blocks, max_size=None) -> list[frozenset]:
+    """The unions of disjoint blocks by doubling the list once per block,
+    sorted by (size, sorted members): the eager enumeration that the lazy
+    deterministic-set lattice must reproduce entry for entry. With max_size,
+    unions larger than it are never built; the order puts them last, so the
+    result is still a prefix of the full order."""
+    limit = float("inf") if max_size is None else max_size
+    sets = [frozenset()]
+    for block in blocks:
+        sets += [s | block for s in sets if len(s) + len(block) <= limit]
+    sets.sort(key=lambda s: (len(s), sorted(s)))
     return sets
 
 

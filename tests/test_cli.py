@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stepskew as sk
 import stepskew.ergodic as ergodic
+from conftest import sorted_unions
 from stepskew.cli import (
     DEFAULT_HORIZONS,
     DEFAULT_TRIALS,
@@ -270,6 +273,10 @@ MALFORMED = {
     "deep_nesting": (b"[" * 100_000, "document"),
     "int_beyond_float": (_period2_with_first_kernel_entry("9" * 401), "kernel[0]"),
     "int_beyond_digit_limit": (_period2_with_first_kernel_entry("9" * 5_000), "document"),
+    "lone_surrogate_state": (
+        render_config(gallery_config("bufetov_period2")).replace('"0"', '"\\ud800"').encode(),
+        "states",
+    ),
 }
 
 
@@ -282,6 +289,69 @@ def test_main_reports_a_malformed_document_without_a_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
     assert "Traceback" not in err
+
+
+# A label holding a lone surrogate is valid JSON but cannot be printed.
+LONE_SURROGATES = {
+    "states": lambda text: text.replace('"0"', '"\\ud800"'),
+    "space.points": lambda text: text.replace('"3"', '"\\udfff"'),
+    "function.name": lambda text: text.replace('"ind1"', '"ind\\ud800"'),
+}
+
+
+@pytest.mark.parametrize("field", sorted(LONE_SURROGATES))
+def test_parse_refuses_a_label_that_is_not_utf8(field):
+    text = LONE_SURROGATES[field](render_config(gallery_config("bufetov_period2")))
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    assert str(err.value).endswith("is not UTF-8 text")
+
+
+def test_parse_error_text_is_bounded():
+    deep = _period2_with_first_kernel_entry("[" * 900 + "0" + "]" * 900).decode()
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(deep)
+    assert err.value.field == "kernel[0]"
+    assert str(err.value).startswith("config field 'kernel[0]': expected a number, got [[[")
+    assert len(str(err.value)) < 100
+    doc = json.loads(render_config(gallery_config("bufetov_period2")))
+    doc["family"].update({f"x{i}": ["1", "2", "3"] for i in range(1000)})
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.field == "family"
+    assert str(err.value).startswith("config field 'family': maps for unknown states ['x0', 'x1', ")
+    assert len(str(err.value)) < 100
+
+
+def _one_point_config(kernel) -> str:
+    n = len(kernel)
+    return json.dumps({
+        "states": [str(y) for y in range(n)],
+        "kernel": kernel,
+        "stationary": [1.0 / n] * n,
+        "space": {"points": ["a"], "mu": [1.0]},
+        "family": {str(y): ["a"] for y in range(n)},
+    })
+
+
+def test_check_on_a_20_state_cycle_prints_the_first_unions_quickly():
+    n = 20  # one sim block per state, the most the lattice is offered for
+    cfg = parse_config(_one_point_config(np.roll(np.eye(n), 1, axis=1).tolist()))
+    t0 = time.perf_counter()
+    report = cmd_check(cfg)
+    assert time.perf_counter() - t0 < 1.0
+    want = sorted_unions([frozenset({y}) for y in range(n)], max_size=2)
+    assert len(want) > 64  # so its first 64 are the full order's
+    shown = " ".join("{" + ",".join(str(y) for y in sorted(s)) + "}" for s in want[:64])
+    assert grep(report, "DETERMINISTIC_SETS") == f"DETERMINISTIC_SETS (complete): {shown} ..."
+
+
+def test_check_beyond_the_enumeration_cap_prints_the_blocks():
+    n = 24
+    report = cmd_check(parse_config(_one_point_config(np.eye(n).tolist())))
+    shown = " ".join(f"{{{y}}}" for y in range(n))
+    assert grep(report, "DETERMINISTIC_SETS") == f"DETERMINISTIC_SETS (blocks-only): {shown}"
 
 
 def test_main_missing_file(capsys):

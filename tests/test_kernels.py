@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import stepskew as sk
 import stepskew.kernels
-from conftest import spec_of
-from stepskew.gallery import gallery_config
+from conftest import sorted_unions, spec_of
+from stepskew.gallery import GALLERY_NAMES, gallery_config
 from stepskew.graphs import strongly_connected_components
 
 GEN = sk.GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
@@ -505,6 +505,47 @@ def test_deterministic_sets_match_brute_force(idx):
     fam = sk.deterministic_sets(spec)
     assert fam.complete
     assert set(fam.sets) == set(sk.brute_force_deterministic_sets(spec))
+    assert list(fam.sets) == sorted_unions(spec.sim.blocks)
+    assert len(fam.sets) == 2 ** spec.sim.n_blocks
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_deterministic_sets_order_on_the_gallery(name):
+    spec = gallery_config(name).spec
+    fam = sk.deterministic_sets(spec)
+    assert fam.complete
+    assert list(fam.sets) == sorted_unions(spec.sim.blocks)
+    assert len(fam.sets) == 2 ** spec.sim.n_blocks
+
+
+@given(st.lists(st.integers(-1, 11), min_size=1, max_size=30), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_union_lattice_matches_doubling_and_sort(labels, rnd):
+    # labels[i] is the block of element i (-1: in none), up to 12 blocks,
+    # handed over in a random order
+    blocks = [frozenset(i for i, c in enumerate(labels) if c == b) for b in set(labels) - {-1}]
+    rnd.shuffle(blocks)
+    lattice = stepskew.kernels.UnionLattice(blocks)
+    want = sorted_unions(blocks)
+    assert list(lattice) == want
+    assert len(lattice) == len(want) == 2 ** len(blocks)
+    members = set(want)
+    for _ in range(10):
+        probe = frozenset(i for i in range(len(labels) + 1) if rnd.random() < 0.5)
+        assert (probe in lattice) == (probe in members)
+    assert all(s in lattice for s in want)
+    assert [0] not in lattice and None not in lattice
+
+
+def test_union_lattice_length_iterates_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("len iterated the lattice")
+
+    monkeypatch.setattr(stepskew.kernels.UnionLattice, "__iter__", refuse)
+    n = 20
+    spec = spec_of(np.roll(np.eye(n), 1, axis=1), np.full(n, 1.0 / n))
+    fam = sk.deterministic_sets(spec)
+    assert fam.complete and len(fam.sets) == 2**n
 
 
 @given(st.integers(min_value=0, max_value=1500))

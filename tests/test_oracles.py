@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
-from conftest import report_classes, report_pairs, spec_of, system_of, union_closure
+from conftest import report_classes, report_pairs, sorted_unions, spec_of, system_of
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_bf_invariant_bufetov_lattice(bufetov_system):
     lattice = sk.brute_force_invariant_sets(bufetov_system)
     assert len(lattice) == 8  # three independent 2-cycles
     report = bufetov_system.closed_classes
-    assert set(lattice) == union_closure(report_classes(report))
+    assert lattice == sorted_unions(report_classes(report))
 
 
 def test_bf_invariant_ergodic_trivial(rotation_system):
@@ -214,6 +214,4 @@ def test_generator_config_validation():
 def test_bf_deterministic_equals_sim_class_closure(idx):
     cfg = sk.GeneratorConfig(seed=606, degenerate_bias=0.45)
     spec = sk.generate_spec(cfg, index=idx)
-    assert set(sk.brute_force_deterministic_sets(spec)) == union_closure(
-        sk.sim_classes(spec).blocks
-    )
+    assert sk.brute_force_deterministic_sets(spec) == sorted_unions(sk.sim_classes(spec).blocks)
