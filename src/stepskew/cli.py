@@ -22,7 +22,7 @@ from . import ergodic
 from .config import SystemConfig
 from .errors import ParseError, TooLarge, ValidationError
 from .gallery import gallery_config
-from .graphs import Partition
+from .graphs import Partition, indices_by_label
 from .kernels import (
     MarkovSpec,
     deterministic_sets,
@@ -32,7 +32,6 @@ from .kernels import (
 )
 from .skew import (
     SkewSystem,
-    _pairs_by_class,
     build_base_counterexample,
     build_counterexample_family,
     check_product_structure,
@@ -177,7 +176,7 @@ def _block_strs(names: np.ndarray, labels: np.ndarray) -> list[str]:
     """The string {a,b,...} of each block of a label array, in label order,
     members in index order; names is an object array holding the name of
     each labelled element (labels >= 0), in index order."""
-    return ["{" + ",".join(names[idx]) + "}" for idx in _pairs_by_class(labels)]
+    return ["{" + ",".join(names[idx]) + "}" for idx in indices_by_label(labels)]
 
 
 def _partition_str(names, part: Partition) -> str:
@@ -355,12 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gallery":
-            try:
-                cfg = gallery_config(args.name)
-            except KeyError as e:
-                print(str(e.args[0]), file=_sys.stderr)
-                return 1
-            text = render_config(cfg)
+            text = render_config(gallery_config(args.name))
             if args.emit:
                 with open(args.emit, "w") as fh:
                     fh.write(text)

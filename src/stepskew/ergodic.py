@@ -139,6 +139,8 @@ def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
     k = sys.family.space.k
     if fv.shape != (k,):
         raise DimensionMismatch(f"function has shape {fv.shape}, expected ({k},)")
+    if not np.isfinite(fv).all():
+        raise ValidationError(f"function value {fv[~np.isfinite(fv)][0]} is not finite")
     if not _is_index(x, k):
         raise ValidationError(f"start point {x!r} is not a point index 0..{k - 1}")
     if sys.family.space.mu.values[x] == 0:
@@ -275,18 +277,11 @@ def cesaro_partial_averages(
 
 def _tiled(values: np.ndarray, start: int | None, steps: int) -> np.ndarray:
     """The first `steps` values, with the cycle values[start:] repeated to
-    fill them, by copies that double in length."""
+    fill them."""
     if start is None:
         return values
-    out = np.empty(steps)
-    filled, period = len(values), len(values) - start
-    out[:filled] = values
-    while filled < steps:
-        shift = (filled - start) // period * period
-        width = min(shift, steps - filled)
-        out[filled : filled + width] = out[filled - shift : filled - shift + width]
-        filled += width
-    return out
+    reps = -(-(steps - start) // (len(values) - start))
+    return np.concatenate([values[:start], np.tile(values[start:], reps)])[:steps]
 
 
 def _checked_horizons(horizons) -> list[int]:

@@ -11,6 +11,7 @@ ergodic skew product (deterministic_block).
 from __future__ import annotations
 
 from .config import SystemConfig
+from .errors import ValidationError
 
 THIRD = 1.0 / 3.0
 
@@ -89,9 +90,8 @@ GALLERY_NAMES = tuple(sorted(_BUILDERS))
 
 
 def gallery_config(name: str) -> SystemConfig:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(
+    if name not in _BUILDERS:
+        raise ValidationError(
             f"unknown gallery name {name!r}; available: {', '.join(GALLERY_NAMES)}"
-        ) from None
+        )
+    return _BUILDERS[name]()

@@ -30,14 +30,6 @@ from scipy.sparse.csgraph import connected_components
 # wins until the edge count of a dense graph catches up with it.
 SMALL_SCC_MAX_NODES = 48
 
-# Most edges between trees for which a labeller round hooks each root by a
-# plain assignment, under one smaller root it meets; above it np.minimum.at
-# picks the smallest. The assignment may take one round per leaf of a star
-# (1.3 s at 10^4 nodes, against under 1 ms), which is cheap at this size;
-# np.minimum.at costs about 2 us more per round on a 2-core x86 host, 1.2%
-# of parsing, checking and skewing a 2-8-state system.
-SMALL_HOOK_MAX_EDGES = 64
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -62,11 +54,19 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """The blocks as frozensets, in label order; built on first read."""
-        groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for i, c in enumerate(self.labels.tolist()):
-            if c >= 0:
-                groups[c].append(i)
-        return tuple(map(frozenset, groups))
+        members = np.flatnonzero(self.labels >= 0)
+        return tuple(frozenset(members[idx].tolist()) for idx in indices_by_label(self.labels))
+
+
+def indices_by_label(labels: np.ndarray) -> list[np.ndarray]:
+    """For each label of a label array, in label order, the positions of its
+    members among the elements labelled >= 0, in index (row-major) order."""
+    kept = labels[labels >= 0]
+    counts = np.bincount(kept)
+    # numpy sorts keys of at most 16 bits stably by radix, in linear time.
+    order = np.argsort(kept.astype(np.min_scalar_type(len(counts))), kind="stable")
+    ends = np.cumsum(counts).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _partition(labels: np.ndarray, n_blocks: int) -> Partition:
@@ -81,20 +81,16 @@ def undirected_components(ground: np.ndarray, u: np.ndarray, v: np.ndarray) -> P
     elements.
 
     Each round hooks every root that an edge joins to a smaller root under
-    one of those roots, the smallest past SMALL_HOOK_MAX_EDGES edges
-    (Shiloach and Vishkin 1982), then jumps every pointer to its root;
-    edges inside one tree drop out. A parent never exceeds its child, so
-    each root is the least member of its tree.
+    the smallest of those roots (Shiloach and Vishkin 1982), then jumps
+    every pointer to its root; edges inside one tree drop out. A parent
+    never exceeds its child, so each root is the least member of its tree.
     """
     index = np.arange(len(ground))
     parent = index.copy()
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     while np.count_nonzero(between := lo != hi):
         lo, hi = lo[between], hi[between]
-        if len(hi) <= SMALL_HOOK_MAX_EDGES:
-            parent[hi] = lo
-        else:
-            np.minimum.at(parent, hi, lo)
+        np.minimum.at(parent, hi, lo)
         up = parent[parent]
         while np.count_nonzero(up != parent):
             parent, up = up, up[up]

@@ -148,9 +148,6 @@ class StochasticMatrix:
         """Closed communicating classes, -1 on transient states; decided once."""
         return closed_components(self.n, *np.nonzero(self.pattern))
 
-    def row_support(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.values[i])
-
 
 @dataclass(frozen=True)
 class MarkovSpec:

@@ -72,7 +72,8 @@ def brute_force_deterministic_sets(spec: MarkovSpec) -> list[frozenset[int]]:
     if len(supp) > _ENUM_STATE_CAP:
         raise TooLarge(f"support has {len(supp)} states, cap is {_ENUM_STATE_CAP}")
     local = {y: k for k, y in enumerate(supp)}
-    row_masks = [sum(1 << local[int(z)] for z in spec.kernel.row_support(y)) for y in supp]
+    pattern = spec.kernel.pattern
+    row_masks = [sum(1 << local[int(z)] for z in np.flatnonzero(pattern[y])) for y in supp]
     out = []
     for sub in range(1 << len(supp)):
         if all((rm & sub) == 0 or (rm & sub) == rm for rm in row_masks):
@@ -96,7 +97,8 @@ def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
         raise TooLarge(f"{size} pair states, cap is {_ENUM_PAIR_CAP}")
     pos = {p: i for i, p in enumerate(pairs)}
     tables = family.tables.tolist()
-    succ = [sum(1 << pos[(int(z), tables[y][x])] for z in spec.kernel.row_support(y)) for y, x in pairs]
+    pattern = spec.kernel.pattern
+    succ = [sum(1 << pos[(int(z), tables[y][x])] for z in np.flatnonzero(pattern[y])) for y, x in pairs]
     full = (1 << size) - 1
     out = []
     for sub in range(1 << size):
@@ -107,29 +109,18 @@ def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """Verdict of the trajectory-dispersion probe.
-
-    The probe is one-sided: a large spread certifies non-ergodicity, a
-    small one proves nothing (the test function may fail to separate the
-    classes).
-    """
-
-    non_ergodic: bool
-    spread: float
-    threshold: float
-    trials: int
-    horizon: int
-
-
 def statistical_ergodicity_probe(
     sys: SkewSystem,
     seed: int,
     trials: int = 50,
     horizon: int = 100_000,
-) -> ProbeReport:
-    """Dispersion of sampled Birkhoff limits across random starting pairs."""
+) -> float:
+    """Spread of sampled Birkhoff limits across random starting pairs.
+
+    The probe is one-sided: a spread above DISPERSION_THRESHOLD certifies
+    non-ergodicity, a small one proves nothing (the test function may fail
+    to separate the classes).
+    """
     if trials < 30:
         raise ValidationError("probe needs at least 30 trials")
     setup = substream(seed, _U63_SALT)
@@ -139,14 +130,7 @@ def statistical_ergodicity_probe(
     x_starts = (mu_cum[None, :] <= setup.random(trials)[:, None]).sum(axis=1)
     _, occ = orbit_occupancy(sys, seed, trials, [horizon], x_starts, start=None)
     limits = occ[horizon] @ f / horizon
-    spread = float(limits.max() - limits.min())
-    return ProbeReport(
-        non_ergodic=spread > DISPERSION_THRESHOLD,
-        spread=spread,
-        threshold=DISPERSION_THRESHOLD,
-        trials=trials,
-        horizon=horizon,
-    )
+    return float(limits.max() - limits.min())
 
 
 _U63_SALT = (1 << 63) + 11  # setup stream; never collides with trial indices

@@ -51,7 +51,7 @@ from .errors import (
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, closed_components
+from .graphs import Partition, closed_components, indices_by_label
 from .kernels import EPS_SUM, MarkovSpec, _is_index, is_irreducible, is_strictly_irreducible
 
 
@@ -135,18 +135,6 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     return grid
 
 
-def _pairs_by_class(labels: np.ndarray) -> list[np.ndarray]:
-    """Indices of the active pairs, in lexicographic order, grouped by class:
-    for each label of a label array, the positions of its members among the
-    elements labelled >= 0, in index (row-major) order."""
-    pair_class = labels[labels >= 0]
-    counts = np.bincount(pair_class)
-    # numpy sorts keys of at most 16 bits stably by radix, in linear time.
-    order = np.argsort(pair_class.astype(np.min_scalar_type(len(counts))), kind="stable")
-    ends = np.cumsum(counts).tolist()
-    return [order[a:b] for a, b in zip([0] + ends, ends)]
-
-
 @dataclass(frozen=True)
 class ErgodicityReport:
     """The pair chain's closed classes, held as an (n, k) label grid.
@@ -171,7 +159,7 @@ class ErgodicityReport:
         ys, xs = np.nonzero(labels >= 0)
         weights = sys.spec.m.values[ys] * sys.family.space.mu.values[xs]
         masses, class_weights = [], []
-        for idx in _pairs_by_class(labels):
+        for idx in indices_by_label(labels):
             w = weights[idx]
             masses.append(w.sum())
             class_weights.append((w / masses[-1], xs[idx]))

@@ -36,7 +36,7 @@ def reference_pair_kernel(sys_: sk.SkewSystem) -> np.ndarray:
     kv = spec.kernel.values
     for i, (y, x) in enumerate(states):
         tx = int(family.tables[y, x])
-        for z in spec.kernel.row_support(y):
+        for z in np.flatnonzero(spec.kernel.pattern[y]):
             kernel[i, pos[(int(z), tx)]] += kv[y, int(z)]
     return kernel
 

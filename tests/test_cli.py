@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +236,9 @@ def test_main_gallery_and_check(tmp_path, capsys):
 
 def test_main_unknown_gallery(capsys):
     assert main(["gallery", "missing_name"]) == 1
-    assert "unknown gallery" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown gallery name 'missing_name'")
+    assert all(name in err for name in GALLERY_NAMES)
 
 
 def test_main_rejects_invalid_config(tmp_path, capsys):
@@ -387,6 +390,23 @@ def test_simulate_bad_flags_fail_cleanly(tmp_path, capsys, flags, needle):
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_simulate_refuses_a_function_that_is_not_finite(tmp_path, capsys, bad):
+    # json writes and reads NaN and Infinity, so the parsed config holds them
+    doc = json.loads(render_config(gallery_config("bufetov_period2")))
+    doc["function"]["values"][0] = float(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert bad in path.read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(path), "--horizons", "10", "--trials", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: function value ") and "not finite" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

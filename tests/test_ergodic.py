@@ -782,6 +782,13 @@ def test_f_of_wrong_shape_is_refused(bufetov_system, entry, f):
 
 
 @pytest.mark.parametrize("entry", sorted(F_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_f_that_is_not_finite_is_refused(bufetov_system, entry, bad):
+    with pytest.raises(sk.ValidationError, match="not finite"):
+        F_ENTRY_POINTS[entry](bufetov_system, [1.0, bad, 0.0], 0)
+
+
+@pytest.mark.parametrize("entry", sorted(F_ENTRY_POINTS))
 def test_start_off_support_is_refused(entry):
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
     sys_ = system_of(spec, [[1, 0, 2], [1, 0, 2]], mu=[0.5, 0.5, 0.0])

@@ -1,5 +1,6 @@
 """Strongly connected components: the small-graph Tarjan path against scipy;
-undirected components: the hooking labeller against a union-find."""
+undirected components: the hooking labeller against a union-find; grouping
+by label against its definition."""
 
 from __future__ import annotations
 
@@ -181,14 +182,11 @@ def undirected_graphs(draw):
 def test_labeller_matches_union_find(graph):
     ground, u, v = graph
     members = np.flatnonzero(ground)
-    want = union_find_labels(len(ground), members, u, v)
-    for small in (True, False):  # every round by plain assignment, or none
-        with mock.patch.object(graphs, "SMALL_HOOK_MAX_EDGES", 10**9 if small else -1):
-            part = graphs.undirected_components(ground, u, v)
-        assert part.labels.tolist() == want
-        assert not part.labels.flags.writeable
-        assert part.n_blocks == len(part.blocks)
-        assert sorted(i for b in part.blocks for i in b) == members.tolist()
+    part = graphs.undirected_components(ground, u, v)
+    assert part.labels.tolist() == union_find_labels(len(ground), members, u, v)
+    assert not part.labels.flags.writeable
+    assert part.n_blocks == len(part.blocks)
+    assert sorted(i for b in part.blocks for i in b) == members.tolist()
 
 
 def test_labeller_on_a_shuffled_path_and_a_star():
@@ -206,6 +204,19 @@ def test_labeller_on_a_shuffled_path_and_a_star():
     assert cut.n_blocks == 2
     star = graphs.undirected_components(ground, np.full(n - 1, n - 1), np.arange(n - 1))
     assert star.trivial and star.n_blocks == 1
+
+
+@given(st.lists(st.integers(-1, 6), max_size=40))
+def test_blocks_and_indices_by_label_group_by_label(raw):
+    # any -1 / 0..b-1 label array; the definition: block c is {i : labels[i] == c}
+    raw = np.array(raw, dtype=np.intp)
+    used = np.unique(raw[raw >= 0])
+    labels = np.where(raw >= 0, np.searchsorted(used, raw), -1)
+    want = [np.flatnonzero(labels == c).tolist() for c in range(len(used))]
+    part = graphs.Partition(labels, len(used))
+    assert part.blocks == tuple(map(frozenset, want))
+    members = np.flatnonzero(labels >= 0)
+    assert [members[idx].tolist() for idx in graphs.indices_by_label(labels)] == want
 
 
 def test_empty_graph_and_partition():

@@ -244,7 +244,7 @@ def test_reach_positive_mass_and_closure(idx):
     # no structural escape from outside U into U
     outside = set(spec.support.tolist()) - u
     for y in outside:
-        assert not any(int(z) in u for z in spec.kernel.row_support(int(y)))
+        assert not any(int(z) in u for z in np.flatnonzero(spec.kernel.pattern[int(y)]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def test_irreducible_two_components_false():
 def _has_nontrivial_absorbing(spec):
     """Brute force: a set with 0 < m(B) < 1 whose rows stay inside it."""
     supp = spec.support.tolist()
-    masks = {y: {int(z) for z in spec.kernel.row_support(y)} for y in supp}
+    masks = {y: {int(z) for z in np.flatnonzero(spec.kernel.pattern[y])} for y in supp}
     for sub in range(1, (1 << len(supp)) - 1):
         b = {supp[k] for k in range(len(supp)) if sub >> k & 1}
         if all(masks[y] <= b for y in b):
@@ -561,7 +561,7 @@ def test_deterministic_check_matches_definition(idx):
         # oracle: row-by-row containment straight from the definition
         expected = True
         for y in supp:
-            row = {int(z) for z in spec.kernel.row_support(y)}
+            row = {int(z) for z in np.flatnonzero(spec.kernel.pattern[y])}
             if row & b and not row <= b:
                 expected = False
         assert (b in sets) == expected
