@@ -57,6 +57,16 @@ def uniform_space(points) -> FiniteMeasureSpace:
     return FiniteMeasureSpace.create(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
+def _checked_f(space: FiniteMeasureSpace, f) -> np.ndarray:
+    """f as a float vector over the space's points, every value finite."""
+    fv = np.asarray(f, dtype=float)
+    if fv.shape != (space.k,):
+        raise DimensionMismatch(f"function has shape {fv.shape}, expected ({space.k},)")
+    if not np.isfinite(fv).all():
+        raise ValidationError(f"function value {fv[~np.isfinite(fv)][0]} is not finite")
+    return fv
+
+
 def _check_tables(space: FiniteMeasureSpace, tables: np.ndarray) -> None:
     """Raise the first fault of the first faulty row of an (n, k) int64
     table, as one row checked alone would: an out-of-range index, then the
@@ -146,11 +156,7 @@ def conditional_expectation(
 
     Each block receives its mu-weighted average of f; zero-mass points get 0.
     """
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (family.space.k,):
-        raise DimensionMismatch(
-            f"function has shape {fv.shape}, expected ({family.space.k},)"
-        )
+    fv = _checked_f(family.space, f)
     labels = family_invariant_partition(family, active).labels
     on = labels >= 0
     w, block = family.space.mu.values[on], labels[on]

@@ -19,6 +19,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .dynamics import _checked_f
 from .errors import DimensionMismatch, StartOffSupport, TooLarge, ValidationError
 from .kernels import MarkovSpec, _is_index
 from .skew import SkewSystem
@@ -135,12 +136,8 @@ def sample_path(
 def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
     """f as a float vector over the fiber points, with x a point index on
     their support."""
-    fv = np.asarray(f, dtype=float)
+    fv = _checked_f(sys.family.space, f)
     k = sys.family.space.k
-    if fv.shape != (k,):
-        raise DimensionMismatch(f"function has shape {fv.shape}, expected ({k},)")
-    if not np.isfinite(fv).all():
-        raise ValidationError(f"function value {fv[~np.isfinite(fv)][0]} is not finite")
     if not _is_index(x, k):
         raise ValidationError(f"start point {x!r} is not a point index 0..{k - 1}")
     if sys.family.space.mu.values[x] == 0:

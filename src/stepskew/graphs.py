@@ -4,9 +4,9 @@ Every structural verdict in the package reduces to connectivity of a graph
 given by its edges, tails[i] -> heads[i], so everything here is
 pattern-exact. Every partition is one read-only label array (`Partition`).
 
-Strong connectivity runs an iterative Tarjan in pure Python on graphs of
-at most SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above
-that. Undirected components (the sim classes and the family-invariant
+Strong connectivity squares a reach matrix in numpy on graphs of at most
+SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above that.
+Undirected components (the sim classes and the family-invariant
 partition) come from a separate numpy labeller that hooks roots and jumps
 pointers; it shares no code with either SCC route, so the paired
 characterizations that compare the two stay independent.
@@ -15,19 +15,20 @@ characterizations that compare the two stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-# Largest graph whose SCCs are found by the pure-Python Tarjan; larger ones
-# go to scipy. Best of 5 on a 2-core x86 host, random digraphs with mean
-# out-degree 2.5 (sparse) or half the entries set (dense), Tarjan / scipy:
-# 6 nodes 15 / 160 us; 24 nodes 38 / 152 (sparse), 53 / 139 (dense);
-# 48 nodes 62 / 145, 147 / 163; 64 nodes 76 / 221, 279 / 275. Building
-# the csr_matrix costs over 100 us whatever the size, so the hand loop
-# wins until the edge count of a dense graph catches up with it.
+# Largest graph whose SCCs come from the transitive closure; larger ones go
+# to scipy. Best of 7 on a 2-core x86 host, random digraphs with mean
+# out-degree 2.5 (sparse) or half the entries set (dense), closure / scipy:
+# 6 nodes 16-36 / 155-259 us; 48 nodes 68-99 / 170-249 (sparse), 53-65 /
+# 179-210 (dense); 64 nodes 110-114 / 155-196, 68-69 / 207-215; 80 nodes
+# 172-174 / 170-179, 105-109 / 224-248. Building the csr_matrix costs over
+# 100 us whatever the size, and the squarings grow as n^3 log n, so sparse
+# graphs meet scipy near 80 nodes. No graph that the benchmark workloads
+# build has more than 40 nodes, so the split stays at 48.
 SMALL_SCC_MAX_NODES = 48
 
 
@@ -50,12 +51,6 @@ class Partition:
     @property
     def trivial(self) -> bool:
         return self.n_blocks <= 1
-
-    @cached_property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """The blocks as frozensets, in label order; built on first read."""
-        members = np.flatnonzero(self.labels >= 0)
-        return tuple(frozenset(members[idx].tolist()) for idx in indices_by_label(self.labels))
 
 
 def indices_by_label(labels: np.ndarray) -> list[np.ndarray]:
@@ -109,7 +104,7 @@ def strongly_connected_components(adj: np.ndarray) -> Partition:
 def _components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
     """SCCs of the digraph on range(n) with edges tails[i] -> heads[i]."""
     if n <= SMALL_SCC_MAX_NODES:
-        return _tarjan_components(n, tails, heads)
+        return _closure_components(n, tails, heads)
     return _scipy_components(n, tails, heads)
 
 
@@ -122,54 +117,22 @@ def _scipy_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition
     return _partition(rank[raw], ncomp)
 
 
-def _tarjan_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
-    """Tarjan's SCC algorithm (1972) with an explicit call stack.
-
-    A node's index is set to n once its component is emitted, so edges
-    into finished components never lower a low-link.
-    """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for v, w in zip(tails.tolist(), heads.tolist()):
-        succ[v].append(w)
-    index = [-1] * n
-    low = [0] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        call = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        while call:
-            v, edges = call[-1]
-            for w in edges:
-                if index[w] < 0:
-                    call.append((w, iter(succ[w])))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:  # every edge of v explored: v is finished
-                call.pop()
-                if call:
-                    u = call[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:  # v roots a component: pop it
-                    k = stack.index(v)
-                    comps.append(stack[k:])
-                    for w in stack[k:]:
-                        index[w] = n
-                    del stack[k:]
-    labels = [0] * n
-    for c, comp in enumerate(sorted(comps, key=min)):
-        for w in comp:
-            labels[w] = c
-    return _partition(np.array(labels, dtype=np.intp), len(comps))
+def _closure_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
+    """SCCs by transitive closure: square the 0/1 reach matrix until it stops
+    growing. Its products count intermediate nodes, so every entry is an
+    integer of at most n, exact in float64 in any summation order."""
+    if n == 0:  # argmax needs an axis to reduce
+        return _partition(np.zeros(0, dtype=np.intp), 0)
+    reach = np.eye(n)
+    reach[tails, heads] = 1.0
+    known = 0
+    while (found := np.count_nonzero(reach)) > known:
+        known, reach = found, np.minimum(reach @ reach, 1.0)
+    # mutual reach is symmetric with a true diagonal, so each column's first
+    # true entry is the least member of the node's component
+    first = (reach * reach.T).argmax(axis=0)
+    roots = first == np.arange(n)
+    return _partition((roots.cumsum() - 1)[first], int(np.count_nonzero(roots)))
 
 
 def closed_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:

@@ -39,6 +39,7 @@ from .errors import (
 from .graphs import (
     Partition,
     closed_components,
+    indices_by_label,
     strongly_connected_components,
     undirected_components,
 )
@@ -418,7 +419,8 @@ def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
     With more than MAX_ENUM_BLOCKS generating blocks only the blocks are
     returned and the lattice is left implicit.
     """
-    blocks = spec.sim.blocks
+    # the sim classes partition the support
+    blocks = tuple(frozenset(spec.support[idx].tolist()) for idx in indices_by_label(spec.sim.labels))
     if len(blocks) > MAX_ENUM_BLOCKS:
         return DeterministicSetFamily(blocks, complete=False)
     return DeterministicSetFamily(UnionLattice(blocks), complete=True)

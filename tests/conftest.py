@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stepskew as sk
+from stepskew.graphs import Partition, indices_by_label
 
 
 def spec_of(rows, m) -> sk.MarkovSpec:
@@ -70,6 +71,12 @@ def cycle_class_labels(sys_: sk.SkewSystem) -> list[list[int]]:
                 y, x = (y + 1) % n, tables[y][x]
             count += 1
     return labels
+
+
+def blocks(part: Partition) -> tuple[frozenset[int], ...]:
+    """A partition's blocks as frozensets, in label order."""
+    members = np.flatnonzero(part.labels >= 0)
+    return tuple(frozenset(members[idx].tolist()) for idx in indices_by_label(part.labels))
 
 
 def report_pairs(report: sk.ErgodicityReport) -> tuple[tuple[int, int], ...]:

@@ -532,15 +532,15 @@ def test_check_then_skew_analyse_the_config_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_reports_render_partitions_from_labels(name):
-    # The text reads the label arrays; only deterministic_sets, in check,
-    # builds the sim partition's frozenset blocks.
+    # The text reads the label arrays: no partition caches anything beside
+    # them, frozenset blocks included.
     cfg = gallery_config(name)
     cmd_skew(cfg)
     spec, system = cfg.spec, cfg.system
     partitions = [spec.sim, spec.dual_sim, system.family_partition, system.closed_classes.sections]
-    assert all("blocks" not in vars(part) for part in partitions if part is not None)
+    assert all(set(vars(part)) == {"labels", "n_blocks"} for part in partitions if part is not None)
     cmd_check(cfg)
-    assert "blocks" not in vars(spec.dual_sim)
+    assert set(vars(spec.dual_sim)) == {"labels", "n_blocks"}
 
 
 def test_check_passes_a_config_whose_only_fault_is_a_map(tmp_path, capsys):

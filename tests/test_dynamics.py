@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+from conftest import blocks
 from stepskew.kernels import EPS_SUM
 
 GEN = sk.GeneratorConfig(
@@ -243,7 +244,7 @@ def test_family_check_leaves_the_callers_table_alone():
 def test_cycle_pair_family_ergodic():
     family = sk.TransformationFamily.create(uniform3(), [[1, 2, 0], [2, 0, 1]])
     part = sk.family_invariant_partition(family, [0, 1])
-    assert part.blocks == (frozenset({0, 1, 2}),)
+    assert blocks(part) == (frozenset({0, 1, 2}),)
     assert part.trivial
 
 
@@ -270,7 +271,7 @@ def test_id_and_swap_family_ergodic_with_swap_active():
     space = sk.uniform_space(("1", "2"))
     family = sk.TransformationFamily.create(space, [[0, 1], [1, 0]])
     part = sk.family_invariant_partition(family, [0, 1])
-    assert part.blocks == (frozenset({0, 1}),)
+    assert blocks(part) == (frozenset({0, 1}),)
     assert part.trivial
 
 
@@ -300,7 +301,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
     supp = space.support.tolist()
     for y in range(3):
         t = family.tables[y]
-        for block in part.blocks:
+        for block in blocks(part):
             assert {int(t[x]) for x in block} == set(block)
     # finest: every orbit edge stays inside one block and each block is a
     # single component of the orbit graph, so no strict refinement of the
@@ -313,7 +314,7 @@ def test_partition_blocks_are_invariant_and_finest(idx):
             assert idx_of[int(x)] == idx_of[int(t[x])]
             neighbors[int(x)].add(int(t[x]))
             neighbors[int(t[x])].add(int(x))
-    for block in part.blocks:
+    for block in blocks(part):
         seen = {min(block)}
         frontier = [min(block)]
         while frontier:
@@ -367,7 +368,7 @@ def per_block_condexp(family, active, f) -> np.ndarray:
     its points, in index order."""
     mu = family.space.mu.values
     out = np.zeros(family.space.k)
-    for block in sk.family_invariant_partition(family, active).blocks:
+    for block in blocks(sk.family_invariant_partition(family, active)):
         idx = sorted(block)
         out[idx] = float(mu[idx] @ f[idx]) / float(mu[idx].sum())
     return out
@@ -393,6 +394,14 @@ def test_condexp_zero_off_support():
     out = sk.conditional_expectation(family, [0], [1.0, 3.0, 9.0])
     assert out[2] == 0.0
     assert np.allclose(out[:2], [2.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_condexp_refuses_a_function_that_is_not_finite(bufetov_system, bad):
+    # the check, and the message, of the ergodic entry points
+    s = bufetov_system
+    with pytest.raises(sk.ValidationError, match=re.escape(f"function value {bad} is not finite")):
+        sk.conditional_expectation(s.family, s.spec.support, [bad, 0.0, 0.0])
 
 
 def per_map_check(space, table) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Strongly connected components: the small-graph Tarjan path against scipy;
-undirected components: the hooking labeller against a union-find; grouping
-by label against its definition."""
+"""Strongly connected components: the small-graph transitive closure against
+scipy, on boolean matrices and on repeated, shuffled edge lists; undirected
+components: the hooking labeller against a union-find, and its round count;
+grouping by label against its definition."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from conftest import blocks
 from stepskew import graphs
 
 CROSSOVER = graphs.SMALL_SCC_MAX_NODES
@@ -94,7 +96,7 @@ def test_small_path_matches_scipy(adj):
     for small in (True, False):
         with _on_path(small):
             got = graphs.strongly_connected_components(adj)
-            assert got.blocks == want and got.n_blocks == len(want)
+            assert blocks(got) == want and got.n_blocks == len(want)
 
 
 @given(digraphs())
@@ -105,12 +107,32 @@ def test_closed_components_agree_on_both_paths(adj):
     with _on_path(False):
         large = graphs.closed_components(len(adj), *np.nonzero(adj))
     assert small.labels.tolist() == large.labels.tolist()
-    closed = set(small.blocks)
+    closed = set(blocks(small))
     assert small.n_blocks == len(closed)
     assert closed <= set(scipy_components(adj))
     # every node outside the closed classes reaches out of its component
     for block in set(scipy_components(adj)) - closed:
         assert adj[sorted(block)][:, sorted(set(range(len(adj))) - block)].any()
+
+
+@given(digraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_repeated_and_shuffled_edges_on_both_paths(adj, seed):
+    # A quotient graph has one edge per pair, so its edges repeat; each edge
+    # here comes 1 to 3 times, in a shuffled order.
+    rng = np.random.default_rng(seed)
+    tails, heads = np.nonzero(adj)
+    copies = rng.integers(1, 4, len(tails))
+    order = rng.permutation(int(copies.sum()))
+    tails, heads = np.repeat(tails, copies)[order], np.repeat(heads, copies)[order]
+    want = scipy_components(adj)
+    others = [sorted(set(range(len(adj))) - b) for b in want]
+    closed = tuple(b for b, rest in zip(want, others) if not adj[sorted(b)][:, rest].any())
+    for small in (True, False):
+        with _on_path(small):
+            assert blocks(graphs._components(len(adj), tails, heads)) == want
+            got = graphs.closed_components(len(adj), tails, heads)
+        assert blocks(got) == closed and got.n_blocks == len(closed)
 
 
 def _chained_cycles(n: int) -> np.ndarray:
@@ -134,23 +156,23 @@ def test_crossover_routes_by_node_count(n, small):
     want = scipy_components(adj)
     assert len(want) == -(-n // 5)
     with mock.patch.object(
-        graphs, "_tarjan_components", wraps=graphs._tarjan_components
-    ) as tarjan, mock.patch.object(
+        graphs, "_closure_components", wraps=graphs._closure_components
+    ) as closure, mock.patch.object(
         graphs, "_scipy_components", wraps=graphs._scipy_components
     ) as scipy_path:
         got = graphs.strongly_connected_components(adj)
-    assert got.blocks == want
-    assert (tarjan.call_count, scipy_path.call_count) == ((1, 0) if small else (0, 1))
-    assert graphs.closed_components(len(adj), *np.nonzero(adj)).blocks == (want[-1],)
+    assert blocks(got) == want
+    assert (closure.call_count, scipy_path.call_count) == ((1, 0) if small else (0, 1))
+    assert blocks(graphs.closed_components(len(adj), *np.nonzero(adj))) == (want[-1],)
 
 
 def test_path_splits_and_closing_it_joins():
     n = CROSSOVER
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n - 1), np.arange(1, n)] = True
-    assert graphs._tarjan_components(n, *np.nonzero(adj)).blocks == tuple(frozenset({v}) for v in range(n))
+    assert blocks(graphs._closure_components(n, *np.nonzero(adj))) == tuple(frozenset({v}) for v in range(n))
     adj[n - 1, 0] = True
-    assert graphs._tarjan_components(n, *np.nonzero(adj)).blocks == (frozenset(range(n)),)
+    assert blocks(graphs._closure_components(n, *np.nonzero(adj))) == (frozenset(range(n)),)
 
 
 @st.composite
@@ -185,13 +207,31 @@ def test_labeller_matches_union_find(graph):
     part = graphs.undirected_components(ground, u, v)
     assert part.labels.tolist() == union_find_labels(len(ground), members, u, v)
     assert not part.labels.flags.writeable
-    assert part.n_blocks == len(part.blocks)
-    assert sorted(i for b in part.blocks for i in b) == members.tolist()
+    assert part.n_blocks == len(blocks(part))
+    assert sorted(i for b in blocks(part) for i in b) == members.tolist()
+
+
+class _CountingNumpy:
+    """numpy, counting count_nonzero calls: the labeller makes one to start
+    each hooking round and one per pointer jump."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        self.calls += 1
+        return np.count_nonzero(a)
 
 
 def test_labeller_on_a_shuffled_path_and_a_star():
     # Shuffled ids on a long path take many hooking rounds; in a star whose
-    # centre is the largest id, every leaf's root meets the centre's.
+    # centre is the largest id, every leaf's root meets the centre's. Hooking
+    # the centre under the smallest leaf joins them all in a few rounds;
+    # hooking under an arbitrary smaller root (parent[hi] = lo) would merge
+    # one leaf per round.
     rng = np.random.default_rng(7)
     n = 5000
     ids = rng.permutation(n)
@@ -202,8 +242,11 @@ def test_labeller_on_a_shuffled_path_and_a_star():
     cut = graphs.undirected_components(ground, u, v)
     assert cut.labels.tolist() == union_find_labels(n, range(n), u, v)
     assert cut.n_blocks == 2
-    star = graphs.undirected_components(ground, np.full(n - 1, n - 1), np.arange(n - 1))
+    counting = _CountingNumpy()
+    with mock.patch.object(graphs, "np", counting):
+        star = graphs.undirected_components(ground, np.full(n - 1, n - 1), np.arange(n - 1))
     assert star.trivial and star.n_blocks == 1
+    assert counting.calls <= 12
 
 
 @given(st.lists(st.integers(-1, 6), max_size=40))
@@ -214,13 +257,13 @@ def test_blocks_and_indices_by_label_group_by_label(raw):
     labels = np.where(raw >= 0, np.searchsorted(used, raw), -1)
     want = [np.flatnonzero(labels == c).tolist() for c in range(len(used))]
     part = graphs.Partition(labels, len(used))
-    assert part.blocks == tuple(map(frozenset, want))
+    assert blocks(part) == tuple(map(frozenset, want))
     members = np.flatnonzero(labels >= 0)
     assert [members[idx].tolist() for idx in graphs.indices_by_label(labels)] == want
 
 
 def test_empty_graph_and_partition():
     part = graphs.undirected_components(np.zeros(0, dtype=bool), np.arange(0), np.arange(0))
-    assert part.labels.tolist() == [] and part.n_blocks == 0 and part.blocks == ()
+    assert part.labels.tolist() == [] and part.n_blocks == 0 and blocks(part) == ()
     empty = graphs.strongly_connected_components(np.zeros((0, 0), dtype=bool))
-    assert empty.blocks == () and empty.n_blocks == 0
+    assert blocks(empty) == () and empty.n_blocks == 0

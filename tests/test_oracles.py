@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import stepskew as sk
 from stepskew.oracles import DISPERSION_THRESHOLD
-from conftest import report_classes, report_pairs, sorted_unions, spec_of, system_of
+from conftest import blocks, report_classes, report_pairs, sorted_unions, spec_of, system_of
 
 
 # ---------------------------------------------------------------------------
@@ -210,4 +210,4 @@ def test_generator_config_validation():
 def test_bf_deterministic_equals_sim_class_closure(idx):
     cfg = sk.GeneratorConfig(seed=606, degenerate_bias=0.45)
     spec = sk.generate_spec(cfg, index=idx)
-    assert sk.brute_force_deterministic_sets(spec) == sorted_unions(sk.sim_classes(spec).blocks)
+    assert sk.brute_force_deterministic_sets(spec) == sorted_unions(blocks(sk.sim_classes(spec)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import stepskew as sk
 import stepskew.skew
 from conftest import (
+    blocks,
     cycle_class_labels,
     ergodic_family,
     periodic_system,
@@ -49,7 +50,7 @@ def whole_matrix_fixed_dim(kernel: np.ndarray) -> int:
 
 def oracle_classes(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...]:
     kernel = reference_pair_kernel(sys_)
-    return closed_components(len(kernel), *np.nonzero(kernel)).blocks
+    return blocks(closed_components(len(kernel), *np.nonzero(kernel)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def counted_sections(sys_: sk.SkewSystem) -> tuple[frozenset[int], ...] | None:
 
 
 def section_blocks(report: sk.ErgodicityReport) -> tuple[frozenset[int], ...] | None:
-    return None if report.sections is None else report.sections.blocks
+    return None if report.sections is None else blocks(report.sections)
 
 
 @given(**QUOTIENT_SYSTEMS)
@@ -183,9 +184,9 @@ def test_limits_and_basis_leave_pair_lists_unbuilt(bufetov_system, rotation_syst
         sk.check_product_structure(sys_)
         sk.exact_birkhoff_limit(sys_, 0, 1, f)
         sk.exact_cesaro_limit(sys_, f, base.family.space.k - 1)
-        # No partition has built its frozenset blocks: they read labels only.
+        # No partition caches anything beside its labels: they read labels only.
         partitions = [spec.sim, spec.dual_sim, sys_.family_partition, sys_.closed_classes.sections]
-        assert all("blocks" not in vars(part) for part in partitions if part is not None)
+        assert all(set(vars(part)) == {"labels", "n_blocks"} for part in partitions if part is not None)
 
 
 def test_pair_chain_skips_zero_mass_states_and_points():
@@ -268,12 +269,12 @@ def test_classes_at_ten_thousand_pairs_are_support_times_sigma_blocks():
             table[a:b] = a + rng.permutation(b - a)
         tables.append(table)
     sys_ = system_of(spec, tables, mu=mu)
-    blocks = {frozenset(range(a, b)) for a, b in spans}
-    assert set(sys_.family_partition.blocks) == blocks
+    want = {frozenset(range(a, b)) for a, b in spans}
+    assert set(blocks(sys_.family_partition)) == want
     report = sys_.closed_classes
     assert len(report_pairs(report)) == n * k
     assert len(report_classes(report)) == 4
-    assert set(report.sections.blocks) == blocks
+    assert set(blocks(report.sections)) == want
     assert sk.check_product_structure(sys_)
     assert len(sk.invariant_function_basis(sys_)) == 4
     f = rng.random(k)
