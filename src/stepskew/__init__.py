@@ -44,7 +44,6 @@ from .kernels import (
     MarkovSpec,
     ProbVector,
     StochasticMatrix,
-    deterministic_sets,
     dual_sim_classes,
     is_irreducible,
     is_strictly_irreducible,

@@ -25,7 +25,6 @@ from .gallery import gallery_config
 from .graphs import Partition, indices_by_label
 from .kernels import (
     MarkovSpec,
-    deterministic_sets,
     is_irreducible,
     is_strictly_irreducible,
     reverse_kernel,
@@ -106,8 +105,8 @@ def parse_config(text: str) -> SystemConfig:
     space = _require(doc, "space", dict)
     points = _labels(_require(space, "points", list, "space."), "space.points")
     mu = _floats(_require(space, "mu", list, "space."), "space.mu")
-    if len(mu) != len(points):
-        raise ParseError("space.mu", f"expected {len(points)} entries")
+    if len(mu) != len(points) or not np.isfinite(mu).all():  # check never builds the space
+        raise ParseError("space.mu", f"expected {len(points)} finite entries")
     fam_doc = _require(doc, "family", dict)
     missing = [s for s in states if s not in fam_doc]
     if missing:
@@ -204,12 +203,10 @@ def cmd_check(cfg: SystemConfig) -> str:
         "SIM_CLASSES: " + _partition_str(labels, spec.sim),
         "DUAL_SIM_CLASSES: " + _partition_str(labels, spec.dual_sim),
     ]
-    family = deterministic_sets(spec)
-    shown = [_set_str(labels, s) for s in islice(family.sets, 65)]
+    shown = [_set_str(labels, s) for s in islice(spec.deterministic_sets, 65)]
     if len(shown) > 64:
         shown[64] = "..."  # 64 sets, and a mark that more follow
-    tag = "complete" if family.complete else "blocks-only"
-    lines.append(f"DETERMINISTIC_SETS ({tag}): " + " ".join(shown))
+    lines.append("DETERMINISTIC_SETS (complete): " + " ".join(shown))
     rev = reverse_kernel(spec)
     lines.append("REVERSE_KERNEL:")
     for i, label in enumerate(labels):

@@ -48,8 +48,6 @@ from .graphs import (
 EPS_ZERO = 1e-12
 # Tolerance for row sums, stationarity, and pushforward checks.
 EPS_SUM = 1e-9
-# Most sim blocks whose 2**b unions deterministic_sets offers as a lattice.
-MAX_ENUM_BLOCKS = 20
 
 
 def _is_index(value, size: int) -> bool:
@@ -156,8 +154,9 @@ class MarkovSpec:
 
     Constructed through validate_spec, which enforces stationarity, support
     closure and recurrence of every support state; everything downstream
-    may assume all three. The sim partitions and the four strict routes are
-    computed once, on first use, and shared by every caller holding the spec.
+    may assume all three. The sim partitions, the four strict routes and the
+    deterministic-set lattice are computed once, on first use, and shared by
+    every caller holding the spec.
     """
 
     kernel: StochasticMatrix
@@ -186,6 +185,13 @@ class MarkovSpec:
         """The four strict-irreducibility verdicts, read-only."""
         return MappingProxyType(strict_irreducibility_routes(self))
 
+    @cached_property
+    def deterministic_sets(self) -> UnionLattice:
+        """Every deterministic set: the union lattice of the sim classes,
+        which partition the support."""
+        by_label = indices_by_label(self.sim.labels)  # indices into the support
+        return UnionLattice(frozenset(self.support[idx].tolist()) for idx in by_label)
+
 
 class UnionLattice:
     """The 2^b unions of b disjoint blocks, lazily, in (size, sorted members) order.
@@ -194,14 +200,13 @@ class UnionLattice:
     by (size, least member): the union ending at block i has the successors
     "add block i+1" and "replace block i by block i+1". The blocks are
     disjoint, so neither step lowers the order key, and the heap pops the
-    unions in order. len and membership read the blocks alone.
+    unions in order. Membership reads the blocks alone. There are
+    2 ** len(blocks) unions, so the lattice has no len: past 62 blocks the
+    count overflows an index-sized integer.
     """
 
     def __init__(self, blocks):
         self.blocks = tuple(sorted(blocks, key=lambda b: (len(b), min(b))))
-
-    def __len__(self) -> int:
-        return 1 << len(self.blocks)
 
     def __contains__(self, s) -> bool:
         if not isinstance(s, (set, frozenset)):
@@ -219,19 +224,6 @@ class UnionLattice:
                 # the set drops the duplicate: at the root (i = -1) both are block 0
                 for t in {s | nxt, (s - blocks[i]) | nxt}:
                     heapq.heappush(heap, (len(t), sorted(t), i + 1, t))
-
-
-@dataclass(frozen=True)
-class DeterministicSetFamily:
-    """Deterministic sets of a spec.
-
-    When ``complete`` is true, ``sets`` is the full lattice (including the
-    empty set) as a lazy UnionLattice; otherwise ``sets`` holds only the
-    generating blocks and the lattice is their closure under unions.
-    """
-
-    sets: UnionLattice | tuple[frozenset[int], ...]
-    complete: bool
 
 
 def validate_spec(kernel: StochasticMatrix, m: ProbVector) -> MarkovSpec:
@@ -411,19 +403,6 @@ def strict_irreducibility_routes(spec: MarkovSpec) -> dict[str, bool]:
         "gram": strongly_connected_components((p.T @ p) > 0).n_blocks == 1,
         "dual_gram": strongly_connected_components((p @ p.T) > 0).n_blocks == 1,
     }
-
-
-def deterministic_sets(spec: MarkovSpec) -> DeterministicSetFamily:
-    """All deterministic sets, as the union lattice of the sim classes.
-
-    With more than MAX_ENUM_BLOCKS generating blocks only the blocks are
-    returned and the lattice is left implicit.
-    """
-    # the sim classes partition the support
-    blocks = tuple(frozenset(spec.support[idx].tolist()) for idx in indices_by_label(spec.sim.labels))
-    if len(blocks) > MAX_ENUM_BLOCKS:
-        return DeterministicSetFamily(blocks, complete=False)
-    return DeterministicSetFamily(UnionLattice(blocks), complete=True)
 
 
 def trivial_kernel(m: ProbVector) -> MarkovSpec:

@@ -128,9 +128,9 @@ def test_criterion_4_oracle_equivalence():
     cfg_a = sk.GeneratorConfig(seed=424201, n_states=(2, 12), degenerate_bias=0.4)
     for idx in range(400):
         spec = sk.generate_spec(cfg_a, index=idx)
-        fam = sk.deterministic_sets(spec)
-        assert fam.complete
-        assert set(fam.sets) == set(sk.brute_force_deterministic_sets(spec))
+        lattice = spec.deterministic_sets
+        assert isinstance(lattice, sk.kernels.UnionLattice)
+        assert set(lattice) == set(sk.brute_force_deterministic_sets(spec))
     cfg_b = sk.GeneratorConfig(
         seed=424202, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
     )

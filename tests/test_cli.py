@@ -338,9 +338,14 @@ def _one_point_config(kernel) -> str:
     })
 
 
-def test_check_on_a_20_state_cycle_prints_the_first_unions_quickly():
-    n = 20  # one sim block per state, the most the lattice is offered for
-    cfg = parse_config(_one_point_config(np.roll(np.eye(n), 1, axis=1).tolist()))
+@pytest.mark.parametrize(
+    "kernel",
+    [np.roll(np.eye(20), 1, axis=1), np.eye(24), np.eye(64), np.eye(500)],
+    ids=["cycle-20", "identity-24", "identity-64", "identity-500"],
+)
+def test_check_prints_the_first_unions_quickly(kernel):
+    n = len(kernel)  # one sim block per state
+    cfg = parse_config(_one_point_config(kernel.tolist()))
     t0 = time.perf_counter()
     report = cmd_check(cfg)
     assert time.perf_counter() - t0 < 1.0
@@ -348,13 +353,6 @@ def test_check_on_a_20_state_cycle_prints_the_first_unions_quickly():
     assert len(want) > 64  # so its first 64 are the full order's
     shown = " ".join("{" + ",".join(str(y) for y in sorted(s)) + "}" for s in want[:64])
     assert grep(report, "DETERMINISTIC_SETS") == f"DETERMINISTIC_SETS (complete): {shown} ..."
-
-
-def test_check_beyond_the_enumeration_cap_prints_the_blocks():
-    n = 24
-    report = cmd_check(parse_config(_one_point_config(np.eye(n).tolist())))
-    shown = " ".join(f"{{{y}}}" for y in range(n))
-    assert grep(report, "DETERMINISTIC_SETS") == f"DETERMINISTIC_SETS (blocks-only): {shown}"
 
 
 def test_main_missing_file(capsys):
@@ -406,6 +404,21 @@ def test_simulate_refuses_a_function_that_is_not_finite(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: function value ") and "not finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "skew"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_commands_refuse_a_point_mass_that_is_not_finite(tmp_path, capsys, command, bad):
+    doc = json.loads(render_config(gallery_config("bufetov_period2")))
+    doc["space"]["mu"][0] = float(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert bad in path.read_text()
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "space.mu" in captured.err
     assert "Traceback" not in captured.err
 
 

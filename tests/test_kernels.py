@@ -467,19 +467,19 @@ def test_strict_depends_only_on_pattern(idx):
 # deterministic sets
 # ---------------------------------------------------------------------------
 def test_deterministic_check_period2(period2_spec):
-    sets = sk.deterministic_sets(period2_spec).sets
+    sets = period2_spec.deterministic_sets
     assert {frozenset({0}), frozenset(), frozenset({0, 1})} <= set(sets)
 
 
 def test_deterministic_check_bernoulli_straddles():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
-    assert frozenset({0}) not in sk.deterministic_sets(spec).sets
+    assert frozenset({0}) not in spec.deterministic_sets
 
 
 def test_deterministic_sets_period2(period2_spec):
-    fam = sk.deterministic_sets(period2_spec)
-    assert fam.complete
-    assert set(fam.sets) == {
+    lattice = period2_spec.deterministic_sets
+    assert isinstance(lattice, stepskew.kernels.UnionLattice)
+    assert set(lattice) == {
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -489,33 +489,34 @@ def test_deterministic_sets_period2(period2_spec):
 
 def test_deterministic_sets_strictly_irreducible_trivial():
     spec = sk.trivial_kernel(sk.ProbVector.from_values([0.2, 0.8]))
-    fam = sk.deterministic_sets(spec)
-    assert set(fam.sets) == {frozenset(), frozenset({0, 1})}
+    assert set(spec.deterministic_sets) == {frozenset(), frozenset({0, 1})}
 
 
 def test_deterministic_sets_identity_two_states():
     spec = spec_of(np.eye(2), [0.5, 0.5])
-    assert len(sk.deterministic_sets(spec).sets) == 4
+    assert len(list(spec.deterministic_sets)) == 4
 
 
 @given(st.integers(min_value=0, max_value=1500))
 @settings(max_examples=100, deadline=None)
 def test_deterministic_sets_match_brute_force(idx):
     spec = sk.generate_spec(GEN, index=idx)
-    fam = sk.deterministic_sets(spec)
-    assert fam.complete
-    assert set(fam.sets) == set(sk.brute_force_deterministic_sets(spec))
-    assert list(fam.sets) == sorted_unions(blocks(spec.sim))
-    assert len(fam.sets) == 2 ** spec.sim.n_blocks
+    lattice = spec.deterministic_sets
+    assert isinstance(lattice, stepskew.kernels.UnionLattice)
+    assert set(lattice) == set(sk.brute_force_deterministic_sets(spec))
+    listed = list(lattice)
+    assert listed == sorted_unions(blocks(spec.sim))
+    assert len(listed) == 2 ** len(lattice.blocks) == 2 ** spec.sim.n_blocks
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_deterministic_sets_order_on_the_gallery(name):
     spec = gallery_config(name).spec
-    fam = sk.deterministic_sets(spec)
-    assert fam.complete
-    assert list(fam.sets) == sorted_unions(blocks(spec.sim))
-    assert len(fam.sets) == 2 ** spec.sim.n_blocks
+    lattice = spec.deterministic_sets
+    assert isinstance(lattice, stepskew.kernels.UnionLattice)
+    listed = list(lattice)
+    assert listed == sorted_unions(blocks(spec.sim))
+    assert len(listed) == 2 ** len(lattice.blocks) == 2 ** spec.sim.n_blocks
 
 
 @given(st.lists(st.integers(-1, 11), min_size=1, max_size=30), st.randoms(use_true_random=False))
@@ -528,7 +529,7 @@ def test_union_lattice_matches_doubling_and_sort(labels, rnd):
     lattice = stepskew.kernels.UnionLattice(blocks)
     want = sorted_unions(blocks)
     assert list(lattice) == want
-    assert len(lattice) == len(want) == 2 ** len(blocks)
+    assert len(want) == 2 ** len(lattice.blocks) == 2 ** len(blocks)
     members = set(want)
     for _ in range(10):
         probe = frozenset(i for i in range(len(labels) + 1) if rnd.random() < 0.5)
@@ -537,22 +538,24 @@ def test_union_lattice_matches_doubling_and_sort(labels, rnd):
     assert [0] not in lattice and None not in lattice
 
 
-def test_union_lattice_length_iterates_nothing(monkeypatch):
+def test_union_lattice_membership_iterates_nothing(monkeypatch):
     def refuse(self):
-        raise AssertionError("len iterated the lattice")
+        raise AssertionError("the lattice was iterated")
 
     monkeypatch.setattr(stepskew.kernels.UnionLattice, "__iter__", refuse)
-    n = 20
+    n = 64  # 2**64 unions, more than len could report
     spec = spec_of(np.roll(np.eye(n), 1, axis=1), np.full(n, 1.0 / n))
-    fam = sk.deterministic_sets(spec)
-    assert fam.complete and len(fam.sets) == 2**n
+    lattice = spec.deterministic_sets
+    assert sorted(lattice.blocks, key=min) == [frozenset({y}) for y in range(n)]
+    assert frozenset(range(0, n, 2)) in lattice and frozenset(range(n)) in lattice
+    assert frozenset({0, n}) not in lattice
 
 
 @given(st.integers(min_value=0, max_value=1500))
 @settings(max_examples=60, deadline=None)
 def test_deterministic_check_matches_definition(idx):
     spec = sk.generate_spec(GEN, index=idx)
-    sets = set(sk.deterministic_sets(spec).sets)
+    sets = set(spec.deterministic_sets)
     supp = spec.support.tolist()
     rng = np.random.default_rng(idx + 7)
     for _ in range(8):
@@ -567,10 +570,10 @@ def test_deterministic_check_matches_definition(idx):
         assert (b in sets) == expected
 
 
-def test_deterministic_sets_blocks_only_when_capped():
-    # 24 isolated states -> 24 singleton classes, over the enumeration cap
+def test_deterministic_sets_past_twenty_blocks_are_the_whole_lattice():
+    # 24 isolated states -> 24 singleton classes; every set of states is a union
     n = 24
     spec = spec_of(np.eye(n), np.full(n, 1.0 / n))
-    fam = sk.deterministic_sets(spec)
-    assert not fam.complete
-    assert len(fam.sets) == n
+    lattice = spec.deterministic_sets
+    assert sorted(lattice.blocks, key=min) == [frozenset({y}) for y in range(n)]
+    assert frozenset({0, 1}) in lattice and frozenset(range(n)) in lattice
