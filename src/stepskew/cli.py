@@ -54,19 +54,19 @@ def _require(doc: dict, field: str, kind, where: str = ""):
 
 
 def _floats(values, field: str) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(field, f"expected a number, got {reprlib.repr(v)}")
-        try:
-            out.append(float(v))
-        except OverflowError:
-            raise ParseError(field, "integer too large for a float") from None
-    return tuple(out)
+    try:
+        if set(map(type, values)) <= {float, int}:
+            return tuple(map(float, values))
+        for v in values:  # the first offender: not a number, or an int too large
+            if type(v) not in (float, int):
+                raise ParseError(field, f"expected a number, got {reprlib.repr(v)}")
+            float(v)
+    except OverflowError:
+        raise ParseError(field, "integer too large for a float") from None
 
 
 def _labels(values, field: str) -> tuple[str, ...]:
-    if not values or not all(isinstance(v, str) for v in values):
+    if not values or not set(map(type, values)) <= {str}:
         raise ParseError(field, "must be a non-empty list of strings")
     if len(set(values)) != len(values):
         raise ParseError(field, "labels must be unique")
@@ -115,14 +115,14 @@ def parse_config(text: str) -> SystemConfig:
     extra = [s for s in fam_doc if s not in known_states]
     if extra:
         raise ParseError("family", f"maps for unknown states {reprlib.repr(extra)}")
-    known_points = dict.fromkeys(points)
+    known_points = frozenset(points)
     family = []
     for s in states:
         images = fam_doc[s]
         if not isinstance(images, list) or len(images) != len(points):
             raise ParseError(f"family.{s}", f"expected a list of {len(points)} point labels")
-        bad = [p for p in images if not isinstance(p, str) or p not in known_points]
-        if bad:
+        if not (set(map(type, images)) <= {str} and known_points.issuperset(images)):
+            bad = [p for p in images if not isinstance(p, str) or p not in known_points]
             raise ParseError(f"family.{s}", f"unknown point labels {reprlib.repr(bad)}")
         family.append((s, tuple(images)))
     function = None

@@ -5,7 +5,8 @@ given by its edges, tails[i] -> heads[i], so everything here is
 pattern-exact. Every partition is one read-only label array (`Partition`).
 
 Strong connectivity squares a reach matrix in numpy on graphs of at most
-SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above that.
+SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above that;
+scipy is imported on the first such graph, not with the package.
 Undirected components (the sim classes and the family-invariant
 partition) come from a separate numpy labeller that hooks roots and jumps
 pointers; it shares no code with either SCC route, so the paired
@@ -17,19 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 # Largest graph whose SCCs come from the transitive closure; larger ones go
-# to scipy. Best of 7 on a 2-core x86 host, random digraphs with mean
-# out-degree 2.5 (sparse) or half the entries set (dense), closure / scipy:
-# 6 nodes 16-36 / 155-259 us; 48 nodes 68-99 / 170-249 (sparse), 53-65 /
-# 179-210 (dense); 64 nodes 110-114 / 155-196, 68-69 / 207-215; 80 nodes
-# 172-174 / 170-179, 105-109 / 224-248. Building the csr_matrix costs over
-# 100 us whatever the size, and the squarings grow as n^3 log n, so sparse
-# graphs meet scipy near 80 nodes. No graph that the benchmark workloads
-# build has more than 40 nodes, so the split stays at 48.
-SMALL_SCC_MAX_NODES = 48
+# to scipy. Best of 7 on a 2-core x86 host with one BLAS thread, over 5
+# random digraphs with mean out-degree 2.5 (sparse) or half the entries set
+# (dense), closure / scipy: 6 nodes 16-28 / 135-237 us; 48 nodes 49-62 /
+# 139-159 (sparse), 38-40 / 159-166 (dense); 64 nodes 92-97 / 143-153,
+# 60-114 / 176-182; 80 nodes 152-156 / 145-156, 90-108 / 194-215. Building
+# the csr_matrix costs over 100 us whatever the size, and the squarings grow
+# as n^3 log n, so sparse graphs meet scipy near 80 nodes. The largest
+# graph the benchmark workloads build is simulate_mc's 64-node quotient.
+SMALL_SCC_MAX_NODES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +108,9 @@ def _components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
 
 
 def _scipy_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
+    from scipy.sparse import csr_matrix  # loading scipy.sparse takes about 0.3 s
+    from scipy.sparse.csgraph import connected_components
+
     edges = csr_matrix((np.ones(len(tails), dtype=bool), (tails, heads)), shape=(n, n))
     ncomp, raw = connected_components(edges, directed=True, connection="strong")
     _, first = np.unique(raw, return_index=True)  # least member of each
@@ -118,16 +120,17 @@ def _scipy_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition
 
 
 def _closure_components(n: int, tails: np.ndarray, heads: np.ndarray) -> Partition:
-    """SCCs by transitive closure: square the 0/1 reach matrix until it stops
-    growing. Its products count intermediate nodes, so every entry is an
-    integer of at most n, exact in float64 in any summation order."""
+    """SCCs by transitive closure: square the 0/1 reach matrix until it spans
+    paths of n - 1 edges or stops growing. Its products count intermediate
+    nodes, so every entry is an integer of at most n, exact in float64 in
+    any summation order."""
     if n == 0:  # argmax needs an axis to reduce
         return _partition(np.zeros(0, dtype=np.intp), 0)
     reach = np.eye(n)
     reach[tails, heads] = 1.0
-    known = 0
-    while (found := np.count_nonzero(reach)) > known:
-        known, reach = found, np.minimum(reach @ reach, 1.0)
+    known, span = 0, 1  # reach holds every path of at most span edges
+    while span < n - 1 and (found := np.count_nonzero(reach)) > known:
+        known, span, reach = found, 2 * span, np.minimum(reach @ reach, 1.0)
     # mutual reach is symmetric with a true diagonal, so each column's first
     # true entry is the least member of the node's component
     first = (reach * reach.T).argmax(axis=0)

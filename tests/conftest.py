@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stepskew as sk
 from stepskew.graphs import Partition, indices_by_label
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this stepskew, with args
+    as its sys.argv[1:]; text output captured."""
+    src = str(Path(sk.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
 
 
 def spec_of(rows, m) -> sk.MarkovSpec:

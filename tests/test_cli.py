@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepskew as sk
 import stepskew.ergodic as ergodic
-from conftest import sorted_unions
+from conftest import fresh_python, sorted_unions
 from stepskew.cli import (
     DEFAULT_HORIZONS,
     DEFAULT_TRIALS,
@@ -122,6 +125,117 @@ def test_parse_error_names_field_and_first_offenders(case):
         parse_config(json.dumps(doc))
     assert err.value.field == field
     assert str(err.value) == f"config field '{field}': {reason}"
+
+
+def _three_state_doc() -> dict:
+    return {
+        "states": ["a", "b", "c"],
+        "kernel": [[0, 1, 0], [0, 0, 1.0], [1, 0, 0]],
+        "stationary": [1 / 3] * 3,
+        "space": {"points": ["p", "q", "r"], "mu": [1 / 3] * 3},
+        "family": {"a": ["p", "q", "r"], "b": ["q", "r", "p"], "c": ["r", "p", "q"]},
+        "function": {"name": "g", "values": [1, -0.5, 2.0]},
+    }
+
+
+def _slow_floats_error(values, field: str) -> str:
+    """The message of the per-entry check that the one-pass check replaced:
+    the oracle for its first offender."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return f"config field '{field}': expected a number, got {reprlib.repr(v)}"
+        try:
+            float(v)
+        except OverflowError:
+            return f"config field '{field}': integer too large for a float"
+    raise AssertionError("no offender")
+
+
+NUMBER_LISTS = {
+    "kernel[1]": lambda d: d["kernel"][1],
+    "stationary": lambda d: d["stationary"],
+    "space.mu": lambda d: d["space"]["mu"],
+    "function.values": lambda d: d["function"]["values"],
+}
+NOT_NUMBERS = {
+    "true": True,
+    "false": False,
+    "null": None,
+    "string": "0.5",
+    "list": [0.5],
+    "object": {"v": 1},
+    "1e400": 10**400,
+    "-1e400": -(10**400),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_LISTS))
+@pytest.mark.parametrize("offender", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_parse_names_the_first_offender_in_a_number_list(field, offender, at):
+    doc = _three_state_doc()
+    values = NUMBER_LISTS[field](doc)
+    values[at] = offender
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.field == field
+    assert str(err.value) == _slow_floats_error(values, field)
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_LISTS))
+def test_parse_reports_whichever_offender_comes_first(field):
+    expect = {
+        (10**400, "x"): "integer too large for a float",
+        ("x", 10**400): "expected a number, got 'x'",
+    }
+    for (first, second), reason in expect.items():
+        doc = _three_state_doc()
+        values = NUMBER_LISTS[field](doc)
+        values[1], values[2] = first, second
+        with pytest.raises(sk.ParseError) as err:
+            parse_config(json.dumps(doc))
+        assert (err.value.field, str(err.value)) == (field, f"config field '{field}': {reason}")
+
+
+@pytest.mark.parametrize("entry", [[], {}, 3, 2.5, True, None], ids=repr)
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_parse_refuses_a_family_row_holding_a_non_label(entry, at):
+    doc = _three_state_doc()
+    doc["family"]["b"][at] = entry
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.field == "family.b"
+    assert str(err.value) == f"config field 'family.b': unknown point labels {[entry]!r}"
+
+
+@pytest.mark.parametrize("row", [[], {}, 3, "pqr"], ids=repr)
+def test_parse_refuses_a_family_row_that_is_not_a_list_of_labels(row):
+    doc = _three_state_doc()
+    doc["family"]["c"] = row
+    with pytest.raises(sk.ParseError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.field == "family.c"
+    assert str(err.value) == "config field 'family.c': expected a list of 3 point labels"
+
+
+finite_numbers = st.one_of(
+    st.integers(min_value=-(2**1023), max_value=2**1023),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 0.0, 2**53 + 1, -(2**53 + 1), 2**1023]),
+)
+
+
+@given(st.lists(finite_numbers, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_parse_reads_valid_mixed_number_rows_bit_for_bit(row):
+    doc = _three_state_doc()
+    doc["space"] = {"points": [f"p{i}" for i in range(len(row))], "mu": row}
+    doc["family"] = {s: doc["space"]["points"] for s in doc["states"]}
+    doc["function"]["values"] = row
+    cfg = parse_config(json.dumps(doc))
+    want = list(map(float.hex, (float(v) for v in row)))  # the per-entry conversion
+    assert list(map(float.hex, cfg.mu)) == want
+    assert list(map(float.hex, cfg.function[1])) == want
 
 
 def test_row_sum_failure_delegated():
@@ -591,3 +705,54 @@ def test_report_matches_golden(command, name):
     # deliberate change of the report: cmd_check / cmd_skew(gallery_config(name))
     report = {"check": cmd_check, "skew": cmd_skew}[command](gallery_config(name))
     assert report.encode() == (GOLDEN / f"{command}_{name}.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy stays unloaded unless a graph is above the SCC split
+# ---------------------------------------------------------------------------
+def _strict_8x64_config() -> str:
+    """8 states stepping y -> y, y + 1, y + 3 (mod 8) with weight 1/3 each,
+    which is strictly irreducible, and a random permutation of 64 points
+    on each state."""
+    rng = np.random.default_rng(64)
+    kernel = np.zeros((8, 8))
+    for y in range(8):
+        kernel[y, [y, (y + 1) % 8, (y + 3) % 8]] = 1 / 3
+    points = [f"x{i}" for i in range(64)]
+    return json.dumps({
+        "states": [str(y) for y in range(8)],
+        "kernel": kernel.tolist(),
+        "space": {"points": points, "mu": [1 / 64] * 64},
+        "family": {str(y): [points[i] for i in rng.permutation(64)] for y in range(8)},
+    })
+
+
+COLD_RUN = """
+import sys
+from stepskew.cli import main
+assert "scipy" not in sys.modules, "import"
+for path in sys.argv[1:]:
+    for args in (["check"], ["skew"], ["simulate", "--horizons", "10,100", "--trials", "8"]):
+        assert main([args[0], path, *args[1:]]) == 0, (args, path)
+        assert "scipy" not in sys.modules, (args, path)
+"""
+
+
+def test_commands_do_not_load_scipy(tmp_path, monkeypatch):
+    from stepskew import graphs
+
+    text = _strict_8x64_config()
+    cfg = parse_config(text)
+    assert sk.is_strictly_irreducible(cfg.spec)
+    sizes = []
+    components = graphs._components
+    monkeypatch.setattr(graphs, "_components", lambda n, *e: sizes.append(n) or components(n, *e))
+    cmd_skew(cfg)
+    assert max(sizes) == graphs.SMALL_SCC_MAX_NODES  # its quotient is the largest small graph
+    paths = [tmp_path / "strict_8x64.json"]
+    paths[0].write_text(text)
+    for name in GALLERY_NAMES:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(render_config(gallery_config(name)))
+    run = fresh_python(COLD_RUN, *map(str, paths))
+    assert run.returncode == 0, run.stderr

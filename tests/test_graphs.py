@@ -1,10 +1,11 @@
 """Strongly connected components: the small-graph transitive closure against
 scipy, on boolean matrices and on repeated, shuffled edge lists; undirected
 components: the hooking labeller against a union-find, and its round count;
-grouping by label against its definition."""
+grouping by label against its definition; the scipy route from a cold start."""
 
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import blocks
+from conftest import blocks, fresh_python
 from stepskew import graphs
 
 CROSSOVER = graphs.SMALL_SCC_MAX_NODES
@@ -149,7 +150,7 @@ def _chained_cycles(n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "n, small", [(CROSSOVER, True), (CROSSOVER + 1, False)]
+    "n, small", [(CROSSOVER, True), (CROSSOVER + 1, False)], ids=["at-split", "above-split"]
 )
 def test_crossover_routes_by_node_count(n, small):
     adj = _chained_cycles(n)
@@ -164,6 +165,28 @@ def test_crossover_routes_by_node_count(n, small):
     assert blocks(got) == want
     assert (closure.call_count, scipy_path.call_count) == ((1, 0) if small else (0, 1))
     assert blocks(graphs.closed_components(len(adj), *np.nonzero(adj))) == (want[-1],)
+
+
+COLD_SCC = """
+import json, sys
+import numpy as np
+from stepskew import graphs
+assert "scipy" not in sys.modules
+adj = np.array(json.loads(sys.argv[1]), dtype=bool)
+part = graphs.strongly_connected_components(adj)
+assert "scipy" in sys.modules
+print(json.dumps([part.labels.tolist(), part.n_blocks]))
+"""
+
+
+def test_scipy_route_imports_scipy_from_cold():
+    # a fresh interpreter, so scipy is first imported inside the large route
+    adj = _chained_cycles(CROSSOVER + 1)
+    run = fresh_python(COLD_SCC, json.dumps(adj.tolist()))
+    assert run.returncode == 0, run.stderr
+    labels, n_blocks = json.loads(run.stdout)
+    assert blocks(graphs.Partition(np.array(labels), n_blocks)) == scipy_components(adj)
+    assert labels == graphs._closure_components(len(adj), *np.nonzero(adj)).labels.tolist()
 
 
 def test_path_splits_and_closing_it_joins():
