@@ -55,8 +55,9 @@ def _require(doc: dict, field: str, kind, where: str = ""):
 
 def _floats(values, field: str) -> tuple[float, ...]:
     try:
-        if set(map(type, values)) <= {float, int}:
-            return tuple(map(float, values))
+        types = set(map(type, values))
+        if types <= {float, int}:  # floats are kept as they are
+            return tuple(map(float, values) if int in types else values)
         for v in values:  # the first offender: not a number, or an int too large
             if type(v) not in (float, int):
                 raise ParseError(field, f"expected a number, got {reprlib.repr(v)}")
@@ -121,7 +122,11 @@ def parse_config(text: str) -> SystemConfig:
         images = fam_doc[s]
         if not isinstance(images, list) or len(images) != len(points):
             raise ParseError(f"family.{s}", f"expected a list of {len(points)} point labels")
-        if not (set(map(type, images)) <= {str} and known_points.issuperset(images)):
+        try:  # no value that is not a string equals a label
+            known = known_points.issuperset(images)
+        except TypeError:  # an unhashable list or object
+            known = False
+        if not known:
             bad = [p for p in images if not isinstance(p, str) or p not in known_points]
             raise ParseError(f"family.{s}", f"unknown point labels {reprlib.repr(bad)}")
         family.append((s, tuple(images)))

@@ -46,6 +46,9 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
 
 _CHUNK = 4096  # uniforms drawn per stream at a time
 _UNIFORMS = 1 << 22  # uniforms held at once over all streams (32 MB)
+_BINNED = 1 << 14  # uniforms binned at a time over all streams (128 KB)
+_TABLE = 1 << 16  # most entries in a next-state table
+_BUCKETS = 1 << 12  # a uniform's leading 12 bits pick its bucket of bins
 _VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
 _DP_BLOCK = 1 << 16  # (state, point) masses held per block of DP steps
 
@@ -74,14 +77,44 @@ def _checked_horizon(value, what: str, least: int = 1) -> int:
     return value
 
 
-def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, steps: int):
-    """Driving states at steps 0 .. steps-1, one (len(streams),) array per step.
+def _walk_tables(cums: np.ndarray, width: int, draws: int):
+    """(stride, (G, table, buckets)) for a walk that carries state y as
+    y * stride; (width, None) when the n * stride entries of the table
+    would exceed _TABLE or the draws it serves.
+
+    G holds the distinct partial sums of the rows, pinned entries left out,
+    and u's bin is g = #{G <= u}. A row's partial sum G[i] is <= u exactly
+    when i < g, so table[y * stride + g] is row y's draw #{cums[y, :-1] <= u}
+    times stride. buckets holds the bin at each bucket's lower edge
+    b / _BUCKETS, or -1 where a breakpoint lies strictly inside the bucket.
+    The stride leaves room for width entries of a caller's own table.
+    """
+    n, G = len(cums), np.sort(cums[:, :-1], axis=None)
+    G = G[np.diff(G, prepend=-1.0) > 0]  # each value once: the sums are >= 0
+    stride = max(len(G) + 1, width)
+    if n * stride > min(_TABLE, draws):
+        return width, None
+    at = np.searchsorted(G, cums[:, :-1]) + 1 + np.arange(0, n * stride, stride)[:, None]
+    table = np.bincount(at.ravel(), minlength=n * stride).reshape(n, stride).cumsum(axis=1)
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    low = np.searchsorted(G, edges[:-1], side="right")
+    buckets = np.where(np.searchsorted(G, edges[1:]) > low, -1, low)
+    return stride, (G, table.ravel() * stride, buckets)
+
+
+def _driving_states(
+    spec: MarkovSpec, seed: int, streams, start: int | None, steps: int, stride=1, tables=None
+):
+    """Driving states at steps 0 .. steps-1, one (len(streams),) array per
+    step, each state y given as y * stride.
 
     Each stream spends its uniforms in a pinned order: one for the initial
     state from m (none when start fixes it), then one per step for the row
     draw, taken in chunks of at most _CHUNK (fewer when many streams would
     hold more than _UNIFORMS at once) and never more than the steps
     still to go. Stream s yields the same states whatever the other streams.
+    With the stride and tables of _walk_tables a step is one gather at u's
+    bin; without tables it compares u with the row's partial sums.
     """
     if start is not None:
         if not _is_index(start, spec.n):
@@ -100,8 +133,9 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
     m_cum, cums = _cumulative(spec.m.values), _cumulative(spec.kernel.values)
     lead = int(start is None)  # column 0 of the first chunk draws the initial state
     if start is not None:
-        states = np.full(len(positions), start, dtype=np.int64)
+        states = np.full(len(positions), start * stride, dtype=np.int64)
     chunk = min(_CHUNK, max(_UNIFORMS // len(positions), 1))
+    block = max(_BINNED // len(positions), 1)
     u = np.empty((len(positions), min(chunk, steps) + lead))
     for done in range(0, steps, chunk):
         width = min(chunk, steps - done) + lead
@@ -111,14 +145,26 @@ def _driving_states(spec: MarkovSpec, seed: int, streams, start: int | None, ste
             if done + chunk < steps:
                 positions[i] = bg.state
         if lead:
-            states = (m_cum <= u[:, :1]).sum(axis=1)
-        for j in range(lead, width):
-            yield states
-            # The index of the first cumulative entry > u is the count of
-            # entries <= u: partial sums never decrease before the pinned
-            # last entry, and that 1.0 exceeds every u, even in a row whose
-            # sums drift above 1.0 before it.
-            states = (cums.take(states, axis=0) > u[:, j, None]).argmax(axis=1)
+            states = (m_cum <= u[:, :1]).sum(axis=1) * stride
+        if tables is not None:
+            G, table, buckets = tables
+            for at in range(lead, width, block):
+                # u * _BUCKETS is exact and below _BUCKETS: its floor is u's bucket
+                v = u[:, at : min(at + block, width)].T
+                bins = buckets.take((v * _BUCKETS).astype(np.intp))
+                split = bins < 0
+                bins[split] = np.searchsorted(G, v[split], side="right")
+                for g in bins:
+                    yield states
+                    states = table.take(states + g)
+        else:
+            for j in range(lead, width):
+                yield states
+                # The index of the first cumulative entry > u is the count of
+                # entries <= u: partial sums never decrease before the pinned
+                # last entry, and that 1.0 exceeds every u, even in a row
+                # whose sums drift above 1.0 before it.
+                states = (cums[states // stride] > u[:, j, None]).argmax(axis=1) * stride
         lead = 0
 
 
@@ -129,8 +175,12 @@ def sample_path(
     from m (or fixed by start), then one row draw per step. Identical seed,
     start and stream reproduce the identical path."""
     length = _checked_horizon(length, "path length", 0)
-    steps = _driving_states(spec, seed, [stream], start, length)
-    return np.array([states[0] for states in steps], dtype=np.int64)
+    stride, tables = _walk_tables(_cumulative(spec.kernel.values), 1, length)
+    path = np.empty(length, dtype=np.int64)
+    walk = _driving_states(spec, seed, [stream], start, length, stride, tables)
+    for i, states in enumerate(walk):
+        path[i] = states[0]
+    return path // stride
 
 
 def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
@@ -326,6 +376,9 @@ def orbit_occupancy(
     if not np.isin(x_arr, family.space.support).all():
         raise StartOffSupport("a trial starts at a zero-mass point")
     tables, k = family.tables, family.space.k
+    # A trial at point x in state y reads its next point at y * stride + x.
+    stride, walk_tables = _walk_tables(_cumulative(sys.spec.kernel.values), k, trials * hs[-1])
+    fibers = (np.pad(tables, ((0, 0), (0, stride - k))) if stride > k else tables).ravel()
     # Each step writes one row of flat indices trial*k + x; a full buffer or
     # a checkpoint folds the rows into counts with one bincount.
     counts = np.zeros(trials * k, dtype=np.int64)
@@ -334,13 +387,13 @@ def orbit_occupancy(
     filled = 0
     results: dict[int, np.ndarray] = {}
     want = set(hs)
-    walk = _driving_states(sys.spec, seed, range(trials), start, hs[-1])
+    walk = _driving_states(sys.spec, seed, range(trials), start, hs[-1], stride, walk_tables)
     for step, states in enumerate(walk, 1):
         if step == 1:
-            first_states = states
+            first_states = states // stride
         np.add(offsets, x_arr, out=visits[filled])
         filled += 1
-        x_arr = tables[states, x_arr]
+        x_arr = fibers.take(states + x_arr)
         if filled == len(visits) or step in want:
             counts += np.bincount(visits[:filled].ravel(), minlength=trials * k)
             filled = 0

@@ -239,6 +239,171 @@ def test_uniform_budget_shrinks_chunks_not_draws(uniforms, start):
     assert max(widths) == max(uniforms // 6, 1) + (start is None)
 
 
+EDGES = [b / 4096 for b in (0, 1, 819, 2048, 3000, 4095)]
+# Candidate partial sums: bucket edges b / 2**12 and one ulp either side of
+# each, a few plain values, 0.0 (a leading zero entry) and 1.0 (trailing
+# zero entries); drawn with repeats, so rows share breakpoints and repeat
+# them (zero entries in the middle).
+BREAKPOINTS = sorted(
+    {float(np.nextafter(e, d)) for e in EDGES for d in (0.0, 2.0)} | {*EDGES, 0.2, 0.3, 0.7, 1.0}
+)
+DRIFTING_ROW = [0.2, 0.7, 0.1]  # partial sums reach 1.0000000000000002
+
+
+@st.composite
+def raw_kernels(draw):
+    """Rows of weights, taken as they are (no normalisation): each the gaps
+    between sorted breakpoints, or the drifting row padded with zeros."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n):
+        if n >= 3 and draw(st.booleans()):
+            rows.append(DRIFTING_ROW + [0.0] * (n - 3))
+            continue
+        cuts = sorted(draw(st.lists(st.sampled_from(BREAKPOINTS), min_size=n - 1, max_size=n - 1)))
+        rows.append(np.diff([0.0, *cuts, 1.0]).tolist())
+    return np.array(rows)
+
+
+def raw_spec(kernel: np.ndarray) -> sk.MarkovSpec:
+    """The kernel's exact bits, with a uniform m: the sampler reads only these."""
+    n = len(kernel)
+    return sk.MarkovSpec(sk.StochasticMatrix(kernel), sk.ProbVector(np.full(n, 1.0 / n)))
+
+
+def near_breakpoints(cums: np.ndarray) -> list[float]:
+    """Uniforms at every partial sum below 1, one ulp either side of each,
+    at the bucket edges around each, and at 0 and the largest below 1."""
+    out = {0.0, 1.0 - 2.0**-53}
+    for c in cums[:, :-1].ravel().tolist():
+        lo = np.floor(c * 4096) / 4096
+        out |= {c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0)), lo, lo + 1 / 4096}
+    return sorted(u for u in out if 0.0 <= u < 1.0)
+
+
+# the table is refused one entry below its size and built at it
+@pytest.mark.parametrize("built", [False, True])
+@given(raw_kernels(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_walk_is_the_comparison_step(built, kernel, data):
+    import stepskew.ergodic as ergodic
+
+    spec = raw_spec(kernel)
+    cums = ergodic._cumulative(kernel)
+    n_streams = data.draw(st.integers(1, 4))
+    start = data.draw(st.none() | st.integers(0, len(kernel) - 1))
+    width = data.draw(st.integers(1, 8))
+    stride = max(len(np.unique(cums[:, :-1])) + 1, width)
+    size = len(kernel) * stride
+    steps = data.draw(st.integers(-(-size // n_streams), 150))
+    us = st.sampled_from(near_breakpoints(cums)) | st.floats(0.0, 1.0, exclude_max=True)
+    draws = st.lists(us, min_size=steps + 1, max_size=steps + 1)
+    lists = [data.draw(draws) for _ in range(n_streams)]
+    # chunks and blocks of bins from one step each to the whole walk
+    budget = data.draw(st.sampled_from([1, 5, 64, ergodic._UNIFORMS]))
+    binned = data.draw(st.sampled_from([1, 5, 64, ergodic._BINNED]))
+
+    def walk(*layout):
+        keys = [tuple(ergodic._stream_key(0, s).tolist()) for s in range(n_streams)]
+        given = {key: list(given_us) for key, given_us in zip(keys, lists)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "Generator", lambda bg: _GivenUniforms(bg, given))
+            mp.setattr(ergodic, "_UNIFORMS", budget)
+            mp.setattr(ergodic, "_BINNED", binned)
+            return list(ergodic._driving_states(spec, 0, range(n_streams), start, steps, *layout))
+
+    want = [s.tolist() for s in walk()]  # the comparison step, stride 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_TABLE", size if built else size - 1)
+        got_stride, tables = ergodic._walk_tables(cums, width, n_streams * steps)
+    assert (tables is not None) == built
+    assert got_stride == (stride if built else width)
+    got = walk(got_stride, tables)
+    assert all((s % got_stride == 0).all() for s in got)
+    assert [(s // got_stride).tolist() for s in got] == want
+
+
+def test_table_size_check_counts_entries_and_draws(monkeypatch):
+    # ROW_RULE_SPEC's rows have 6 distinct partial sums: 7 bins per state
+    import stepskew.ergodic as ergodic
+
+    cums = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)
+    for width, stride in [(1, 7), (7, 7), (11, 11)]:
+        assert ergodic._walk_tables(cums, width, 4 * stride)[0] == stride
+        assert ergodic._walk_tables(cums, width, 4 * stride - 1) == (width, None)
+        monkeypatch.setattr(ergodic, "_TABLE", 4 * stride - 1)
+        assert ergodic._walk_tables(cums, width, 10**9) == (width, None)
+        monkeypatch.undo()
+
+
+def spy_tables(monkeypatch) -> list:
+    """Record (table size, bound, draws served) of every next-state table
+    _walk_tables builds, and None for each it refuses."""
+    import stepskew.ergodic as ergodic
+
+    real, built = ergodic._walk_tables, []
+
+    def spy(cums, width, draws):
+        stride, tables = real(cums, width, draws)
+        built.append(tables and (len(tables[1]), ergodic._TABLE, draws))
+        return stride, tables
+
+    monkeypatch.setattr(ergodic, "_walk_tables", spy)
+    return built
+
+
+@pytest.mark.parametrize("bound", ["refused", "default"])
+@given(st.sampled_from(DRAWN_SPECS), st.integers(0, 2**32), st.integers(64, 300), st.data())
+@settings(max_examples=8, deadline=None)
+def test_entry_points_match_reference_on_both_sides_of_the_table_bound(
+    bound, idx, seed, length, data
+):
+    import stepskew.ergodic as ergodic
+
+    spec = sk.generate_spec(GEN, index=idx)
+    start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
+    trials = data.draw(st.integers(1, 3))
+    space = sk.generate_space(GEN, index=idx)
+    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=idx))
+    x = int(space.support[0])
+    with pytest.MonkeyPatch.context() as mp:
+        built = spy_tables(mp)
+        if bound == "refused":
+            mp.setattr(ergodic, "_TABLE", 0)
+        paths = [sk.sample_path(spec, seed, length, start, stream=t) for t in range(trials)]
+        first, occ = sk.orbit_occupancy(sys_, seed, trials, [length], x, start)
+    # at least 64 draws: the default bound builds every table, as each
+    # has at most 4 states x 13 bins or points
+    assert all((b is None) == (bound == "refused") for b in built)
+    assert all(b is None or b[0] <= min(b[1:]) for b in built)
+    tables = sys_.family.tables.tolist()
+    for t, path in enumerate(paths):
+        assert path.tolist() == reference_path(spec, seed, length, start, t).tolist()
+        assert first[t] == path[0]
+        counts, pos = [0] * space.k, x
+        for state in path.tolist():
+            counts[pos] += 1
+            pos = tables[state][pos]
+        assert occ[length][t].tolist() == counts
+
+
+def test_dense_300_state_simulate_builds_no_table(monkeypatch):
+    # 300 states with every entry positive: 89,701 bins a state would need
+    # a table of 2.7e7 entries, so the walk compares instead
+    rng = np.random.default_rng(5)
+    rows = rng.random((300, 300)) + 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    kernel = sk.StochasticMatrix.from_rows(rows)
+    spec = sk.validate_spec(kernel, sk.stationary_distribution(kernel))
+    sys_ = system_of(spec, [rng.permutation(4).tolist() for _ in range(300)])
+    built = spy_tables(monkeypatch)
+    trace = sk.convergence_report(sys_, np.arange(4.0), 0, 1, [50, 200], trials=20)
+    path = sk.sample_path(spec, 1, 200)
+    assert built == [None, None]
+    assert len(trace.rows) == 2
+    assert path.tolist() == reference_path(spec, 1, 200).tolist()
+
+
 # ---------------------------------------------------------------------------
 # birkhoff_average
 # ---------------------------------------------------------------------------
