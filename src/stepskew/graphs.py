@@ -6,11 +6,12 @@ pattern-exact. Every partition is one read-only label array (`Partition`).
 
 Strong connectivity squares a reach matrix in numpy on graphs of at most
 SMALL_SCC_MAX_NODES nodes and delegates to scipy's csgraph above that;
-scipy is imported on the first such graph, not with the package.
-Undirected components (the sim classes and the family-invariant
-partition) come from a separate numpy labeller that hooks roots and jumps
-pointers; it shares no code with either SCC route, so the paired
-characterizations that compare the two stay independent.
+scipy is imported on the first such graph, not with the package. Only
+kernel-level graphs reach it. Undirected components (the sim classes, the
+family-invariant partition and the pair chain's closed classes) come from
+a separate numpy labeller that hooks roots and jumps pointers; it shares
+no code with either SCC route, so the sim and Gram strict routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 # 60-114 / 176-182; 80 nodes 152-156 / 145-156, 90-108 / 194-215. Building
 # the csr_matrix costs over 100 us whatever the size, and the squarings grow
 # as n^3 log n, so sparse graphs meet scipy near 80 nodes. The largest
-# graph the benchmark workloads build is simulate_mc's 64-node quotient.
+# graphs the benchmark workloads build are pair_scaling's 40-state kernels
+# and their Gram graphs; the quotients go to the undirected labeller.
 SMALL_SCC_MAX_NODES = 64
 
 

@@ -7,25 +7,26 @@ pair chain on (state, point) pairs with steps
     (y, x)  ->  (z, T_y(x))   with weight k(y, z),
 
 whose stationary vector is the product of the two measures. Because that
-stationary vector is strictly positive on pair states, the chain has no
-transient states and its strongly connected components are exactly the
-closed classes; the skew product is ergodic precisely when there is a
-single class.
+stationary vector is strictly positive on pair states, every edge lies on
+a cycle, so the chain has no transient states and its closed classes are
+its connected components; the skew product is ergodic precisely when
+there is a single class.
 
 The classes are found without building the chain. Every successor of a
 pair lies in its class, so for each active y and point x the pairs
 (support of row y) x {T_y(x)} share a class. Each T_y permutes the points
 of positive mass, and rows that share a state chain together, so every
 set (sim block) x {point} lies inside one class. The classes are therefore
-the lifts of the closed classes of a quotient graph on (sim block, point)
-nodes, with edges (D, x) -> (D_z, T_z(x)) for each active z in D, where D_z
-is the block holding row z's support; it is kept as edge arrays, one edge
-per active pair, never as a matrix. A strictly irreducible kernel has one
-block; the quotient is then the orbit graph of the maps and the classes are
-(support) x (family-invariant blocks), the paper's main theorem. Brute-force
-subset enumeration, the double-loop pair kernel and a Monte Carlo
-dispersion probe (see the oracles module) cross-check this reduction in the
-test suite.
+the lifts of the classes of a quotient graph on (sim block, point) nodes,
+with edges (D, x) -> (D_z, T_z(x)) for each active z in D, where D_z is the
+block holding row z's support. Its edges are images of pair edges, so they
+too lie on cycles, and its classes are its connected components, labelled
+from edge arrays (one edge per active pair, never a matrix). A strictly
+irreducible kernel has one block; the quotient is then the orbit graph of
+the maps and the classes are (support) x (family-invariant blocks), the
+paper's main theorem. Brute-force subset enumeration, the double-loop pair
+kernel and a Monte Carlo dispersion probe (see the oracles module)
+cross-check this reduction in the test suite.
 
 The two Id/swap constructions that witness the failure of the ergodicity
 implication for non-strictly-irreducible (resp. reducible) driving kernels
@@ -51,7 +52,7 @@ from .errors import (
     NotApplicable,
     TheoremViolation,
 )
-from .graphs import Partition, closed_components, indices_by_label
+from .graphs import Partition, indices_by_label, undirected_components
 from .kernels import EPS_SUM, MarkovSpec, _is_index, is_irreducible, is_strictly_irreducible
 
 
@@ -99,9 +100,9 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     """The pair chain's closed classes as an (n, k) grid of class indices,
     -1 off the active pairs, from the sim-block quotient.
 
-    Verifies product-measure invariance first, and that the quotient has no
-    transient node: a sim partition too fine to hold each row's support in
-    one block would leave some.
+    Verifies product-measure invariance first, and that every active row's
+    support lies in one sim block, which the quotient rests on: a sim
+    partition too fine for that would drop the quotient's edges.
     """
     spec, family = sys.spec, sys.family
     n, k = spec.n, family.space.k
@@ -119,14 +120,19 @@ def quotient_class_grid(sys: SkewSystem) -> np.ndarray:
     # Node (b, x) has index b * width + local[x]; pair (active[i], points[j])
     # lies in node nodes[i, j], whose edge leads to heads[i, j]. Row z's
     # support lies in one block, so its first successor names D_z.
-    nodes = state_block[active][:, None] * width + np.arange(width)
-    succ_block = state_block[spec.kernel.pattern[active].argmax(axis=1)]
-    heads = succ_block[:, None] * width + local[tables[active[:, None], points]]
-    node_class = closed_components(spec.sim.n_blocks * width, nodes.ravel(), heads.ravel()).labels
-    if (node_class < 0).any():
+    pattern = spec.kernel.pattern[active]
+    succ_block = state_block[pattern.argmax(axis=1)]
+    split = (pattern & (state_block != succ_block[:, None])).any(axis=1)
+    if split.any():
         raise InternalInconsistency(
-            "sim-block quotient has a transient class despite full-support stationarity"
+            f"sim partition splits the support of states {active[split].tolist()}, so the "
+            "quotient would drop their edges; full-support stationarity leaves no pair transient"
         )
+    nodes = state_block[active][:, None] * width + np.arange(width)
+    heads = succ_block[:, None] * width + local[tables[active[:, None], points]]
+    # Every edge lies on a cycle, so connected components are the classes.
+    ground = np.ones(spec.sim.n_blocks * width, dtype=bool)
+    node_class = undirected_components(ground, nodes, heads).labels
     # Nodes are ordered by (block, point) and blocks by their least state, so
     # the classes come numbered in the order of their first pair.
     grid = np.full((n, k), -1, dtype=np.intp)

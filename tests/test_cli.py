@@ -710,20 +710,20 @@ def test_report_matches_golden(command, name):
 # ---------------------------------------------------------------------------
 # cold start: scipy stays unloaded unless a graph is above the SCC split
 # ---------------------------------------------------------------------------
-def _strict_8x64_config() -> str:
-    """8 states stepping y -> y, y + 1, y + 3 (mod 8) with weight 1/3 each,
-    which is strictly irreducible, and a random permutation of 64 points
-    on each state."""
-    rng = np.random.default_rng(64)
-    kernel = np.zeros((8, 8))
-    for y in range(8):
-        kernel[y, [y, (y + 1) % 8, (y + 3) % 8]] = 1 / 3
-    points = [f"x{i}" for i in range(64)]
+def _strict_config(n: int, k: int) -> str:
+    """n states stepping y -> y, y + 1, y + 3 (mod n) with weight 1/3 each,
+    which is strictly irreducible, and a random permutation of k points on
+    each state."""
+    rng = np.random.default_rng(k)
+    kernel = np.zeros((n, n))
+    for y in range(n):
+        kernel[y, [y, (y + 1) % n, (y + 3) % n]] = 1 / 3
+    points = [f"x{i}" for i in range(k)]
     return json.dumps({
-        "states": [str(y) for y in range(8)],
+        "states": [str(y) for y in range(n)],
         "kernel": kernel.tolist(),
-        "space": {"points": points, "mu": [1 / 64] * 64},
-        "family": {str(y): [points[i] for i in rng.permutation(64)] for y in range(8)},
+        "space": {"points": points, "mu": [1 / k] * k},
+        "family": {str(y): [points[i] for i in rng.permutation(k)] for y in range(n)},
     })
 
 
@@ -741,18 +741,39 @@ for path in sys.argv[1:]:
 def test_commands_do_not_load_scipy(tmp_path, monkeypatch):
     from stepskew import graphs
 
-    text = _strict_8x64_config()
-    cfg = parse_config(text)
-    assert sk.is_strictly_irreducible(cfg.spec)
+    texts = {"strict_8x64": _strict_config(8, 64), "strict_64x8": _strict_config(64, 8)}
     sizes = []
     components = graphs._components
     monkeypatch.setattr(graphs, "_components", lambda n, *e: sizes.append(n) or components(n, *e))
+    cfg = parse_config(texts["strict_64x8"])
     cmd_skew(cfg)
-    assert max(sizes) == graphs.SMALL_SCC_MAX_NODES  # its quotient is the largest small graph
-    paths = [tmp_path / "strict_8x64.json"]
-    paths[0].write_text(text)
+    assert sk.is_strictly_irreducible(cfg.spec)
+    assert max(sizes) == graphs.SMALL_SCC_MAX_NODES  # its kernel is the largest small graph
+    paths = []
+    for name, text in texts.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(text)
     for name in GALLERY_NAMES:
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(render_config(gallery_config(name)))
     run = fresh_python(COLD_RUN, *map(str, paths))
+    assert run.returncode == 0, run.stderr
+
+
+def test_skew_on_a_large_quotient_does_not_load_scipy(tmp_path):
+    # A periodic driving chain makes each of the 8 states its own sim block,
+    # so the quotient has 8 x 200 nodes, far above the SCC split; its
+    # classes are connected components, which need no SCC route.
+    rng = np.random.default_rng(200)
+    points = [f"x{i}" for i in range(200)]
+    path = tmp_path / "periodic_8x200.json"
+    path.write_text(json.dumps({
+        "states": [str(y) for y in range(8)],
+        "kernel": np.roll(np.eye(8), 1, axis=1).tolist(),
+        "stationary": [1 / 8] * 8,
+        "space": {"points": points, "mu": [1 / 200] * 200},
+        "family": {str(y): [points[i] for i in rng.permutation(200)] for y in range(8)},
+    }))
+    assert parse_config(path.read_text()).spec.sim.n_blocks == 8
+    run = fresh_python(COLD_RUN, str(path))
     assert run.returncode == 0, run.stderr

@@ -5,6 +5,7 @@ against the double-loop pair kernel and enumeration."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+import stepskew.graphs
 import stepskew.skew
 from conftest import (
     blocks,
@@ -26,6 +28,7 @@ from conftest import (
     spec_of,
     system_of,
 )
+from stepskew.gallery import GALLERY_NAMES, gallery_config
 from stepskew.graphs import Partition, closed_components
 
 GEN = sk.GeneratorConfig(
@@ -207,6 +210,64 @@ def test_closed_classes_rejects_transient_pairs():
     sys_ = system_of(spec, [[1, 0]] * 4)
     with pytest.raises(sk.InternalInconsistency, match="transient"):
         sys_.closed_classes
+
+
+def test_closed_classes_reject_a_split_row_with_no_transient_node():
+    # Forced blocks {0, 2} {1} split every row of this kernel's pattern,
+    # yet each quotient node keeps an in-edge: nothing looks transient, and
+    # without the guard the quotient gives two classes where there is one.
+    cfg = sk.GeneratorConfig(seed=7, n_states=(3, 6), n_points=(1, 3), sparsity=2.0)
+    spec = sk.generate_spec(cfg, index=0)
+    assert spec.kernel.pattern.astype(int).tolist() == [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
+    space = sk.generate_space(cfg, index=0)
+    sys_ = sk.SkewSystem.create(spec, sk.generate_family(cfg, space, states=spec.n, index=0))
+    spec.__dict__["sim"] = Partition(np.array([0, 1, 0]), 2)
+    with pytest.raises(sk.InternalInconsistency, match=r"support of states \[0, 1, 2\]"):
+        sys_.closed_classes
+
+
+@given(
+    idx=st.integers(min_value=0, max_value=10_000),
+    raw=st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_classes_raise_exactly_when_the_sim_partition_splits_a_row(idx, raw):
+    # Any partition of the support, numbered by least member, in place of
+    # the sim classes. It splits some active row's support exactly when the
+    # sim partition does not refine it, and only then must it raise.
+    sys_ = quotient_system(idx, 0, 0.5)
+    spec = sys_.spec
+    labels, first = np.full(spec.n, -1), {}
+    for y in spec.support.tolist():
+        labels[y] = first.setdefault(raw[y], len(first))
+    spec.__dict__["sim"] = Partition(labels, len(first))
+    rows = spec.kernel.pattern.tolist()
+    split = [y for y in spec.support.tolist() if len({labels[z] for z in np.flatnonzero(rows[y])}) > 1]
+    if split:
+        with pytest.raises(sk.InternalInconsistency, match=re.escape(f"of states {split}")):
+            sys_.closed_classes
+    else:
+        sys_.closed_classes
+
+
+def test_closed_classes_run_no_strong_component_search(monkeypatch):
+    # Every SCC of the pair chain is closed, so its classes are the
+    # quotient's connected components, and no SCC route runs at any size.
+    systems = [gallery_config(name).system for name in GALLERY_NAMES]
+    systems += [quotient_system(idx, 1, 0.5) for idx in range(40)]
+    rng = np.random.default_rng(8)
+    for n, k in ((3, 5), (8, 200)):
+        systems.append(periodic_system([rng.permutation(k) for _ in range(n)]))
+    sizes = []
+    components = stepskew.graphs._components
+    monkeypatch.setattr(
+        stepskew.graphs, "_components", lambda n, *e: sizes.append(n) or components(n, *e)
+    )
+    for sys_ in systems:
+        sys_.closed_classes
+    assert sizes == []
+    spec_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])  # the kernel's classes do search
+    assert sizes == [2]
 
 
 def test_pair_chain_built_once_per_system(monkeypatch):
