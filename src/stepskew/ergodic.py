@@ -24,12 +24,19 @@ from .errors import DimensionMismatch, StartOffSupport, TooLarge, ValidationErro
 from .kernels import MarkovSpec, _is_index
 from .skew import SkewSystem
 
-_U64 = (1 << 64) - 1
+
+def _checked_int(value, what: str) -> int:
+    """value as an int, refused unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _stream_key(seed: int, stream: int) -> np.ndarray:
-    """Philox key of stream (seed, stream): both taken modulo 2**64."""
-    return np.array([seed & _U64, stream & _U64], dtype=np.uint64)
+def _stream_key(seed, stream) -> np.ndarray:
+    """Philox key of stream (seed, stream): integers of any sign, numpy
+    integers included, each taken modulo 2**64."""
+    key = [_checked_int(seed, "seed") % (1 << 64), _checked_int(stream, "stream") % (1 << 64)]
+    return np.array(key, dtype=np.uint64)
 
 
 def substream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -44,17 +51,23 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return cums
 
 
-_CHUNK = 4096  # uniforms drawn per stream at a time
-_UNIFORMS = 1 << 22  # uniforms held at once over all streams (32 MB)
-_BINNED = 1 << 14  # uniforms binned at a time over all streams (128 KB)
-_TABLE = 1 << 16  # most entries in a next-state table
-_BUCKETS = 1 << 12  # a uniform's leading 12 bits pick its bucket of bins
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms Generator.random makes of raw Philox words: each word's
+    top 53 bits times 2**-53, exact in float64."""
+    return (words >> 11) * 2.0**-53
+
+
+_CHUNK = 4096  # words drawn per stream at a time
+_UNIFORMS = 1 << 22  # words held at once over all streams (32 MB)
+_BINNED = 1 << 14  # words binned at a time over all streams (128 KB)
+_TABLE = 1 << 22  # most entries in a pair table (32 MB, as many as the words)
+_BUCKETS = 1 << 12  # a word's top 12 bits are its uniform's bucket of bins
 _VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
 _DP_BLOCK = 1 << 16  # (state, point) masses held per block of DP steps
 
 # Caps, checked before anything is allocated or sampled. A horizon costs 8
 # bytes per step in the DP's values and in a sampled path, each trial holds
-# a saved generator state, and horizon x trials is the sampler's work.
+# its stream's key, and horizon x trials is the sampler's work.
 MAX_HORIZON = 10**6
 MAX_TRIALS = 10**4
 MAX_TRIAL_STEPS = 2 * 10**8
@@ -62,9 +75,7 @@ MAX_TRIAL_STEPS = 2 * 10**8
 
 def _checked_count(value, what: str, least: int) -> int:
     """value as an int, refused unless it is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    if value < least:
+    if _checked_int(value, what) < least:
         raise ValidationError(f"{what} must be at least {least}, got {value!r}")
     return int(value)
 
@@ -77,94 +88,104 @@ def _checked_horizon(value, what: str, least: int = 1) -> int:
     return value
 
 
-def _walk_tables(cums: np.ndarray, width: int, draws: int):
-    """(stride, (G, table, buckets)) for a walk that carries state y as
-    y * stride; (width, None) when the n * stride entries of the table
-    would exceed _TABLE or the draws it serves.
+def _pair_table(cums: np.ndarray, fibers: np.ndarray, draws: int):
+    """(G, table, buckets) stepping the pairs s = y * k + x of the fiber maps
+    fibers (n, k) under the rows cums, or None when the table's entries would
+    exceed _TABLE or the draws it serves.
 
     G holds the distinct partial sums of the rows, pinned entries left out,
     and u's bin is g = #{G <= u}. A row's partial sum G[i] is <= u exactly
-    when i < g, so table[y * stride + g] is row y's draw #{cums[y, :-1] <= u}
-    times stride. buckets holds the bin at each bucket's lower edge
+    when i < g, so with D[y, g] = row y's draw #{cums[y, :-1] <= u},
+    table[g * n * k + s] = D[y, g] * k + fibers[y, x] is the next pair.
+    buckets holds g * n * k for the bin g at each bucket's lower edge
     b / _BUCKETS, or -1 where a breakpoint lies strictly inside the bucket.
-    The stride leaves room for width entries of a caller's own table.
     """
-    n, G = len(cums), np.sort(cums[:, :-1], axis=None)
+    (n, k), G = fibers.shape, np.sort(cums[:, :-1], axis=None)
     G = G[np.diff(G, prepend=-1.0) > 0]  # each value once: the sums are >= 0
-    stride = max(len(G) + 1, width)
-    if n * stride > min(_TABLE, draws):
-        return width, None
-    at = np.searchsorted(G, cums[:, :-1]) + 1 + np.arange(0, n * stride, stride)[:, None]
-    table = np.bincount(at.ravel(), minlength=n * stride).reshape(n, stride).cumsum(axis=1)
+    bins = len(G) + 1
+    if bins * n * k > min(_TABLE, draws):
+        return None
+    at = np.searchsorted(G, cums[:, :-1]) + 1 + np.arange(0, n * bins, bins)[:, None]
+    D = np.bincount(at.ravel(), minlength=n * bins).reshape(n, bins).cumsum(axis=1)
+    table = (D.T * k).repeat(k, axis=1)
+    table += fibers.ravel()
     edges = np.arange(_BUCKETS + 1) / _BUCKETS
     low = np.searchsorted(G, edges[:-1], side="right")
-    buckets = np.where(np.searchsorted(G, edges[1:]) > low, -1, low)
-    return stride, (G, table.ravel() * stride, buckets)
+    buckets = np.where(np.searchsorted(G, edges[1:]) > low, -1, low * (n * k))
+    return G, table.ravel(), buckets
 
 
-def _driving_states(
-    spec: MarkovSpec, seed: int, streams, start: int | None, steps: int, stride=1, tables=None
+def _walk_pairs(
+    spec: MarkovSpec, seed: int, streams, start: int | None, steps: int, fibers, x0
 ):
-    """Driving states at steps 0 .. steps-1, one (len(streams),) array per
-    step, each state y given as y * stride.
+    """Pairs s = y * k + x at steps 0 .. steps-1 of one walk per stream, as
+    (steps in the block, len(streams)) arrays: the driving state y steps by
+    a row draw and the point x by fibers[y, x], from x0[i] on stream i.
 
-    Each stream spends its uniforms in a pinned order: one for the initial
+    Each stream spends its words in a pinned order: one for the initial
     state from m (none when start fixes it), then one per step for the row
     draw, taken in chunks of at most _CHUNK (fewer when many streams would
-    hold more than _UNIFORMS at once) and never more than the steps
-    still to go. Stream s yields the same states whatever the other streams.
-    With the stride and tables of _walk_tables a step is one gather at u's
-    bin; without tables it compares u with the row's partial sums.
+    hold more than _UNIFORMS at once) and never more than the steps still to
+    go. Stream s yields the same pairs whatever the other streams. A step is
+    one gather from the _pair_table at the bin of the word's uniform u, or,
+    without that table, a comparison of u with the row's partial sums.
     """
     if start is not None:
         if not _is_index(start, spec.n):
             raise ValidationError(f"start state {start!r} is not a state index 0..{spec.n - 1}")
         if spec.m.values[start] == 0:
             raise StartOffSupport(f"start state {start} has zero stationary mass")
-    # One Philox serves every stream: re-keying it to (seed, s) with counter
-    # 0 and an empty buffer puts it where substream(seed, s) starts, and a
-    # stream that spans chunks resumes from its saved state.
-    bg = np.random.Philox(key=_stream_key(seed, 0))
-    draw = np.random.Generator(bg).random
-    fresh = bg.state
-    positions = [
-        {**fresh, "state": {**fresh["state"], "key": _stream_key(seed, s)}} for s in streams
-    ]
+    keys = [_stream_key(seed, s) for s in streams]
+    (n, k), trials = fibers.shape, len(keys)
     m_cum, cums = _cumulative(spec.m.values), _cumulative(spec.kernel.values)
+    walk_table, flat = _pair_table(cums, fibers, trials * steps), fibers.ravel()
+    # One Philox serves every stream, through one state dict re-keyed in
+    # place. Philox makes words 4 at a time from counters 1, 2, ..., so key
+    # (seed, s) with counter c and an empty buffer stands where
+    # substream(seed, s) stands after 4c words: a chunk that starts at word
+    # w sets c = w // 4 and drops the first w % 4 words it draws.
+    bg = np.random.Philox(key=keys[0])
+    state = bg.state
+    counter, drawn = state["state"]["counter"], 0
     lead = int(start is None)  # column 0 of the first chunk draws the initial state
     if start is not None:
-        states = np.full(len(positions), start * stride, dtype=np.int64)
-    chunk = min(_CHUNK, max(_UNIFORMS // len(positions), 1))
-    block = max(_BINNED // len(positions), 1)
-    u = np.empty((len(positions), min(chunk, steps) + lead))
+        pairs = start * k + x0
+    chunk = min(_CHUNK, max(_UNIFORMS // trials, 1))
+    block = max(_BINNED // trials, 1)
+    words = np.empty((trials, min(chunk, steps) + lead), dtype=np.uint64)
     for done in range(0, steps, chunk):
         width = min(chunk, steps - done) + lead
-        for i, row in enumerate(u):
-            bg.state = positions[i]
-            draw(out=row[:width])
-            if done + chunk < steps:
-                positions[i] = bg.state
+        counter[0], skip = divmod(drawn, 4)
+        for key, row in zip(keys, words):
+            state["state"]["key"] = key
+            bg.state = state
+            row[:width] = bg.random_raw(skip + width)[skip:]
+        drawn += width
         if lead:
-            states = (m_cum <= u[:, :1]).sum(axis=1) * stride
-        if tables is not None:
-            G, table, buckets = tables
-            for at in range(lead, width, block):
-                # u * _BUCKETS is exact and below _BUCKETS: its floor is u's bucket
-                v = u[:, at : min(at + block, width)].T
-                bins = buckets.take((v * _BUCKETS).astype(np.intp))
+            pairs = (m_cum <= _uniforms(words[:, :1])).sum(axis=1) * k + x0
+        for at in range(lead, width, block):
+            v = words[:, at : min(at + block, width)].T
+            out = np.empty((len(v) + 1, trials), dtype=np.int64)
+            out[0] = pairs
+            if walk_table is None:
+                for row, s, after in zip(_uniforms(v), out, out[1:]):
+                    # The index of the first cumulative entry > u is the count
+                    # of entries <= u: partial sums never decrease before the
+                    # pinned last entry, and that 1.0 exceeds every u, even in
+                    # a row whose sums drift above 1.0 before it.
+                    y = (cums[s // k] > row[:, None]).argmax(axis=1)
+                    np.add(y * k, flat.take(s), out=after)
+            else:
+                G, table, buckets = walk_table
+                # A word's top 12 bits are exactly the bucket of its uniform.
+                bins = buckets.take(v >> 52)
                 split = bins < 0
-                bins[split] = np.searchsorted(G, v[split], side="right")
-                for g in bins:
-                    yield states
-                    states = table.take(states + g)
-        else:
-            for j in range(lead, width):
-                yield states
-                # The index of the first cumulative entry > u is the count of
-                # entries <= u: partial sums never decrease before the pinned
-                # last entry, and that 1.0 exceeds every u, even in a row
-                # whose sums drift above 1.0 before it.
-                states = (cums[states // stride] > u[:, j, None]).argmax(axis=1) * stride
+                bins[split] = np.searchsorted(G, _uniforms(v[split]), side="right") * (n * k)
+                for g, s, after in zip(bins, out, out[1:]):
+                    # the indices are in range, and "clip" writes out unbuffered
+                    table.take(s + g, out=after, mode="clip")
+            pairs = out[-1]
+            yield out[:-1]
         lead = 0
 
 
@@ -175,12 +196,10 @@ def sample_path(
     from m (or fixed by start), then one row draw per step. Identical seed,
     start and stream reproduce the identical path."""
     length = _checked_horizon(length, "path length", 0)
-    stride, tables = _walk_tables(_cumulative(spec.kernel.values), 1, length)
-    path = np.empty(length, dtype=np.int64)
-    walk = _driving_states(spec, seed, [stream], start, length, stride, tables)
-    for i, states in enumerate(walk):
-        path[i] = states[0]
-    return path // stride
+    # a one-point fiber: the pair of state y is y itself
+    fibers, x0 = np.zeros((spec.n, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    blocks = _walk_pairs(spec, seed, [stream], start, length, fibers, x0)
+    return np.concatenate([np.empty((0, 1), dtype=np.int64), *blocks])[:, 0]
 
 
 def _checked_f_at(sys: SkewSystem, f, x: int) -> np.ndarray:
@@ -362,43 +381,47 @@ def orbit_occupancy(
         raise TooLarge(
             f"horizon {hs[-1]} x trials {trials} exceeds MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}"
         )
-    family = sys.family
+    family, k = sys.family, sys.family.space.k
     x_arr = np.asarray(x0)
     if x_arr.dtype.kind not in "iu":
         raise ValidationError(f"x0 must be integer point indices, got {x0!r}")
-    x_arr = x_arr.astype(np.int64)
     if x_arr.shape not in ((), (1,), (trials,)):
         raise DimensionMismatch(
             f"x0 has shape {x_arr.shape}; expected one start point or one per trial "
             f"(trials={trials})"
         )
-    x_arr = np.broadcast_to(x_arr, (trials,)).copy()
+    outside = (x_arr < 0) | (x_arr >= k)
+    if outside.any():
+        bad = int(x_arr[outside][0])
+        raise ValidationError(f"start point {bad} is not a point index 0..{k - 1}")
+    x_arr = np.broadcast_to(x_arr.astype(np.int64), (trials,))
     if not np.isin(x_arr, family.space.support).all():
         raise StartOffSupport("a trial starts at a zero-mass point")
-    tables, k = family.tables, family.space.k
-    # A trial at point x in state y reads its next point at y * stride + x.
-    stride, walk_tables = _walk_tables(_cumulative(sys.spec.kernel.values), k, trials * hs[-1])
-    fibers = (np.pad(tables, ((0, 0), (0, stride - k))) if stride > k else tables).ravel()
-    # Each step writes one row of flat indices trial*k + x; a full buffer or
-    # a checkpoint folds the rows into counts with one bincount.
-    counts = np.zeros(trials * k, dtype=np.int64)
+    # The walk hands back blocks of pairs y * k + x, one row per step. Each
+    # block's pairs go into a visit buffer as flat indices trial * k + x; a
+    # full buffer or a checkpoint folds it into counts with one bincount.
+    point_of = np.tile(np.arange(k), sys.spec.n)
     offsets = np.arange(0, trials * k, k)
+    counts = np.zeros(trials * k, dtype=np.int64)
     visits = np.empty((max(_VISITS // trials, 1), trials), dtype=np.int64)
-    filled = 0
+    filled = done = 0
     results: dict[int, np.ndarray] = {}
-    want = set(hs)
-    walk = _driving_states(sys.spec, seed, range(trials), start, hs[-1], stride, walk_tables)
-    for step, states in enumerate(walk, 1):
-        if step == 1:
-            first_states = states // stride
-        np.add(offsets, x_arr, out=visits[filled])
-        filled += 1
-        x_arr = fibers.take(states + x_arr)
-        if filled == len(visits) or step in want:
-            counts += np.bincount(visits[:filled].ravel(), minlength=trials * k)
-            filled = 0
-            if step in want:
-                results[step] = counts.reshape(trials, k).copy()
+    for block in _walk_pairs(sys.spec, seed, range(trials), start, hs[-1], family.tables, x_arr):
+        if not done:
+            first_states = block[0] // k
+        while len(block):  # the last block ends at the last checkpoint
+            mark = hs[len(results)]
+            rows = min(len(block), len(visits) - filled, mark - done)
+            into = visits[filled : filled + rows]
+            # the pairs are in range, and "clip" writes out unbuffered
+            point_of.take(block[:rows], out=into, mode="clip")
+            into += offsets
+            block, filled, done = block[rows:], filled + rows, done + rows
+            if filled == len(visits) or done == mark:
+                counts += np.bincount(visits[:filled].ravel(), minlength=len(counts))
+                filled = 0
+            if done == mark:
+                results[mark] = counts.reshape(trials, k).copy()
     return first_states, results
 
 

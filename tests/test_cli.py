@@ -548,7 +548,7 @@ def test_simulate_beyond_a_cap_fails_before_sampling(tmp_path, capsys, monkeypat
     def refuse(*args):
         raise AssertionError("the sampler started")
 
-    monkeypatch.setattr(ergodic, "_driving_states", refuse)
+    monkeypatch.setattr(ergodic, "_walk_pairs", refuse)
     path = tmp_path / "cfg.json"
     path.write_text(render_config(gallery_config("bufetov_period2")))
     code = main(["simulate", str(path)] + flags)
@@ -696,6 +696,16 @@ def test_simulate_matches_golden_trace(name):
     # cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
     csv = cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100), trials=16)
     assert csv.encode() == (GOLDEN / f"simulate_{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_simulate_matches_long_golden_trace(name):
+    # 200 trials to 10^4 steps cross the 4096-word chunk edge, where each
+    # stream's state is saved and restored, and walk many blocks of bins.
+    # Regenerate only on a deliberate change of the sampler or the DP:
+    # cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100, 1000, 10000), trials=200)
+    csv = cmd_simulate(gallery_config(name), seed=7, horizons=(10, 100, 1000, 10000), trials=200)
+    assert csv.encode() == (GOLDEN / f"simulate_long_{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)

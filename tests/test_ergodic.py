@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepskew as sk
+import stepskew.ergodic as ergodic
 from conftest import spec_of, system_of
 
 GEN = sk.GeneratorConfig(
@@ -139,17 +142,49 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
                 assert occ[n][t].tolist() == counts
 
 
-class _GivenUniforms:
-    """Stands in for the sampler's generator: each stream, told apart by
-    the key on the bit generator, hands out its given uniforms in order."""
+GRID = 2**53  # numpy's uniforms are the multiples of 2**-53 in [0, 1)
+_PHILOX = np.random.Philox
 
-    def __init__(self, bit_generator, uniforms):
-        self.bit_generator = bit_generator
-        self.uniforms = uniforms
 
-    def random(self, out):
-        key = tuple(self.bit_generator.state["state"]["key"].tolist())
-        out[:] = [self.uniforms[key].pop(0) for _ in range(out.size)]
+def word(u: float, low: int = 2047) -> int:
+    """The raw Philox word whose uniform is u, a multiple of 2**-53; low
+    fills the 11 bits that the uniform drops."""
+    assert u * GRID == int(u * GRID)
+    return int(u * GRID) << 11 | low
+
+
+def next_word(bg) -> tuple[tuple, int]:
+    """(key, index of the next word) of a Philox: it makes words 4 at a time
+    from counters 1, 2, ..., and its buffer holds the rest of the last 4."""
+    state = bg.state
+    at = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return tuple(state["state"]["key"].tolist()), at
+
+
+class _GivenWords(_PHILOX):
+    """Stands in for the sampler's bit generator: each stream, told apart by
+    its key, hands out its given raw words from where its counter stands."""
+
+    def __init__(self, words, key):
+        super().__init__(key=key)
+        self.words = words
+
+    def random_raw(self, size=None, output=True):
+        key, at = next_word(self)
+        super().random_raw(size)  # moves the counter and buffer along
+        return np.array(self.words[key][at : at + size], dtype=np.uint64)
+
+
+def walk_pairs(spec, seed, streams, start, steps, fibers, x0) -> np.ndarray:
+    """All pairs of ergodic._walk_pairs, (steps, streams)."""
+    blocks = ergodic._walk_pairs(spec, seed, streams, start, steps, fibers, np.asarray(x0))
+    return np.concatenate([np.empty((0, len(streams)), dtype=np.int64), *blocks])
+
+
+def walk_states(spec, seed, streams, start, steps) -> np.ndarray:
+    """The driving states of the walk on a one-point fiber, (steps, streams)."""
+    fibers = np.zeros((spec.n, 1), dtype=np.int64)
+    return walk_pairs(spec, seed, streams, start, steps, fibers, np.zeros(len(streams), dtype=int))
 
 
 # Row 0 is the ingested [0.2, 0.7, 0.1, 0.0], whose partial sums reach
@@ -164,17 +199,16 @@ ROW_RULE_SPEC = spec_of(
 @pytest.mark.parametrize("start", [0, 1, 2])
 def test_row_draw_is_the_counting_rule(monkeypatch, start):
     # the sampler takes the first cumulative entry > u; the oracle counts
-    # the entries <= u, at u = 0, at each threshold, one ulp either side of
-    # it, and at the largest uniform below 1
-    import stepskew.ergodic as ergodic
-
+    # the entries <= u, at u = 0, at the least uniform at or above each
+    # threshold, one grid step either side of it, and at the largest
+    # uniform below 1
     cum = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)[start]
     assert start != 0 or cum[2] > 1.0  # the drifting row
-    near = [np.nextafter(c, d) for c in cum for d in (0.0, 2.0)]
-    us = sorted({float(u) for u in [0.0, 0.5, *cum, *near] if 0.0 <= u < 1.0})
-    given = {tuple(ergodic._stream_key(0, s).tolist()): [u, 0.5] for s, u in enumerate(us)}
-    monkeypatch.setattr(np.random, "Generator", lambda bg: _GivenUniforms(bg, given))
-    _, drawn = ergodic._driving_states(ROW_RULE_SPEC, 0, range(len(us)), start, 2)
+    near = {a + d for a in (math.ceil(c * GRID) for c in cum) for d in (-1, 0, 1)}
+    us = sorted(g / GRID for g in near | {0, GRID // 2, GRID - 1} if 0 <= g < GRID)
+    given = {tuple(ergodic._stream_key(0, s).tolist()): [word(u), word(0.5)] for s, u in enumerate(us)}
+    monkeypatch.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
+    _, drawn = walk_states(ROW_RULE_SPEC, 0, range(len(us)), start, 2)
     expected = [int((cum <= u).sum()) for u in us]
     assert drawn.tolist() == expected
     assert all(ROW_RULE_SPEC.kernel.values[start, y] > 0 for y in expected)
@@ -189,52 +223,57 @@ def test_row_draw_is_the_counting_rule(monkeypatch, start):
 )
 @settings(max_examples=4, deadline=None)
 def test_sampler_draws_are_the_substreams(steps, start, seed, streams):
-    # every uniform the sampler draws for stream s, in order, is the head of
-    # substream(seed, s): one for the initial state unless start fixes it,
-    # then one per step
-    import stepskew.ergodic as ergodic
+    # the words the sampler draws for stream s are the head of the Philox
+    # stream keyed (seed, s), each word once or, where a chunk repositions
+    # the counter, drawn again in place, and the uniforms made of them are
+    # those of substream(seed, s): one for the initial state unless start
+    # fixes it, then one per step
+    drawn = {}
 
-    real, drawn = np.random.Generator, {}
-
-    class Recording:
-        def __init__(self, bit_generator):
-            self.bit_generator, self.generator = bit_generator, real(bit_generator)
-
-        def random(self, out):
-            self.generator.random(out=out)
-            key = tuple(self.bit_generator.state["state"]["key"].tolist())
-            drawn.setdefault(key, []).extend(out.tolist())
+    class Recording(_PHILOX):
+        def random_raw(self, size=None, output=True):
+            key, at = next_word(self)
+            words = super().random_raw(size)
+            drawn.setdefault(key, {}).update(enumerate(words.tolist(), at))
+            return words
 
     streams = sorted(streams)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.random, "Generator", Recording)
-        walk = list(ergodic._driving_states(ROW_RULE_SPEC, seed, streams, start, steps))
+        mp.setattr(np.random, "Philox", Recording)
+        walk = walk_states(ROW_RULE_SPEC, seed, streams, start, steps)
     assert len(walk) == steps
     assert len(drawn) == len(streams)
+    heads = steps + (start is None)
     for s in streams:
-        got = drawn[tuple(ergodic._stream_key(seed, s).tolist())]
-        assert got == sk.substream(seed, s).random(steps + (start is None)).tolist()
+        key = ergodic._stream_key(seed, s)
+        words = drawn[tuple(key.tolist())]
+        assert sorted(words) == list(range(heads))
+        got = np.array([words[i] for i in range(heads)], dtype=np.uint64)
+        assert got.tolist() == _PHILOX(key=key).random_raw(heads).tolist()
+        assert ergodic._uniforms(got).tolist() == sk.substream(seed, s).random(heads).tolist()
 
 
 @pytest.mark.parametrize("uniforms", [1, 6, 17, 64])
 @pytest.mark.parametrize("start", [None, 0])
 def test_uniform_budget_shrinks_chunks_not_draws(uniforms, start):
-    # six streams share the budget: each draws at most uniforms // 6 (at
-    # least 1) per chunk, plus its initial state, and walks the same states
-    import stepskew.ergodic as ergodic
+    # six streams share the budget: each keeps at most uniforms // 6 (at
+    # least 1) new words per chunk, plus its initial state, drops fewer
+    # than 4 it had drawn before, and walks the same states
+    widths, ends = [], {}
 
-    real, widths = np.random.Generator, []
+    class Recording(_PHILOX):
+        def random_raw(self, size=None, output=True):
+            key, at = next_word(self)
+            assert 0 <= ends.get(key, 0) - at < 4
+            widths.append(at + size - ends.get(key, 0))
+            ends[key] = at + size
+            return super().random_raw(size)
 
-    class Recording(real):
-        def random(self, out):
-            widths.append(len(out))
-            return super().random(out=out)
-
-    want = [s.tolist() for s in ergodic._driving_states(ROW_RULE_SPEC, 3, range(6), start, 40)]
+    want = walk_states(ROW_RULE_SPEC, 3, range(6), start, 40).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_UNIFORMS", uniforms)
-        mp.setattr(np.random, "Generator", Recording)
-        got = [s.tolist() for s in ergodic._driving_states(ROW_RULE_SPEC, 3, range(6), start, 40)]
+        mp.setattr(np.random, "Philox", Recording)
+        got = walk_states(ROW_RULE_SPEC, 3, range(6), start, 40).tolist()
     assert got == want
     assert max(widths) == max(uniforms // 6, 1) + (start is None)
 
@@ -271,14 +310,15 @@ def raw_spec(kernel: np.ndarray) -> sk.MarkovSpec:
     return sk.MarkovSpec(sk.StochasticMatrix(kernel), sk.ProbVector(np.full(n, 1.0 / n)))
 
 
-def near_breakpoints(cums: np.ndarray) -> list[float]:
-    """Uniforms at every partial sum below 1, one ulp either side of each,
-    at the bucket edges around each, and at 0 and the largest below 1."""
-    out = {0.0, 1.0 - 2.0**-53}
+def near_breakpoints(cums: np.ndarray) -> list[int]:
+    """Uniforms, in units of 2**-53: the least at or above every partial sum
+    below 1 and one either side of it, the bucket edges around each sum, 0
+    and the largest below 1."""
+    out = {0, GRID - 1}
     for c in cums[:, :-1].ravel().tolist():
-        lo = np.floor(c * 4096) / 4096
-        out |= {c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0)), lo, lo + 1 / 4096}
-    return sorted(u for u in out if 0.0 <= u < 1.0)
+        at, lo = math.ceil(c * GRID), math.floor(c * 4096) << 41
+        out |= {at - 1, at, at + 1, lo, lo + (1 << 41)}
+    return sorted(g for g in out if 0 <= g < GRID)
 
 
 # the table is refused one entry below its size and built at it
@@ -286,80 +326,86 @@ def near_breakpoints(cums: np.ndarray) -> list[float]:
 @given(raw_kernels(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_table_walk_is_the_comparison_step(built, kernel, data):
-    import stepskew.ergodic as ergodic
-
-    spec = raw_spec(kernel)
+    spec, n = raw_spec(kernel), len(kernel)
     cums = ergodic._cumulative(kernel)
     n_streams = data.draw(st.integers(1, 4))
-    start = data.draw(st.none() | st.integers(0, len(kernel) - 1))
-    width = data.draw(st.integers(1, 8))
-    stride = max(len(np.unique(cums[:, :-1])) + 1, width)
-    size = len(kernel) * stride
-    steps = data.draw(st.integers(-(-size // n_streams), 150))
-    us = st.sampled_from(near_breakpoints(cums)) | st.floats(0.0, 1.0, exclude_max=True)
-    draws = st.lists(us, min_size=steps + 1, max_size=steps + 1)
-    lists = [data.draw(draws) for _ in range(n_streams)]
+    start = data.draw(st.none() | st.integers(0, n - 1))
+    k = data.draw(st.integers(1, 3))
+    points = st.integers(0, k - 1)
+    fibers = np.array(data.draw(st.lists(st.lists(points, min_size=k, max_size=k), min_size=n, max_size=n)))
+    x0 = data.draw(st.lists(points, min_size=n_streams, max_size=n_streams))
+    size = (len(np.unique(cums[:, :-1])) + 1) * n * k
+    least = -(-size // n_streams)
+    steps = data.draw(st.integers(least, least + 150))
+    # words at the grid points around the breakpoints, with any low bits, or any word
+    near = st.builds(lambda g, low: g << 11 | low, st.sampled_from(near_breakpoints(cums)), st.integers(0, 2047))
+    words = st.lists(near | st.integers(0, 2**64 - 1), min_size=steps + 1, max_size=steps + 1)
+    lists = [data.draw(words) for _ in range(n_streams)]
     # chunks and blocks of bins from one step each to the whole walk
     budget = data.draw(st.sampled_from([1, 5, 64, ergodic._UNIFORMS]))
     binned = data.draw(st.sampled_from([1, 5, 64, ergodic._BINNED]))
 
-    def walk(*layout):
+    def walk(bound):
         keys = [tuple(ergodic._stream_key(0, s).tolist()) for s in range(n_streams)]
-        given = {key: list(given_us) for key, given_us in zip(keys, lists)}
+        given = {key: list(ws) for key, ws in zip(keys, lists)}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.random, "Generator", lambda bg: _GivenUniforms(bg, given))
+            mp.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
             mp.setattr(ergodic, "_UNIFORMS", budget)
             mp.setattr(ergodic, "_BINNED", binned)
-            return list(ergodic._driving_states(spec, 0, range(n_streams), start, steps, *layout))
+            mp.setattr(ergodic, "_TABLE", bound)
+            return walk_pairs(spec, 0, range(n_streams), start, steps, fibers, x0).tolist()
 
-    want = [s.tolist() for s in walk()]  # the comparison step, stride 1
+    want = walk(0)  # the comparison step
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_TABLE", size if built else size - 1)
-        got_stride, tables = ergodic._walk_tables(cums, width, n_streams * steps)
-    assert (tables is not None) == built
-    assert got_stride == (stride if built else width)
-    got = walk(got_stride, tables)
-    assert all((s % got_stride == 0).all() for s in got)
-    assert [(s // got_stride).tolist() for s in got] == want
+        table = ergodic._pair_table(cums, fibers, n_streams * steps)
+    assert (table is not None) == built
+    assert table is None or len(table[1]) == size
+    assert walk(size if built else size - 1) == want
+    # the scalar rule: y steps to the count of its partial sums <= u, x to fibers[y, x]
+    m_cum = ergodic._cumulative(spec.m.values)
+    for i, ws in enumerate(lists):
+        us = [(w >> 11) / GRID for w in ws]
+        y = start if start is not None else int((m_cum <= us.pop(0)).sum())
+        x = x0[i]
+        for step, u in zip(want, us):
+            assert step[i] == y * k + x
+            y, x = int((cums[y] <= u).sum()), int(fibers[y, x])
 
 
 def test_table_size_check_counts_entries_and_draws(monkeypatch):
-    # ROW_RULE_SPEC's rows have 6 distinct partial sums: 7 bins per state
-    import stepskew.ergodic as ergodic
-
+    # ROW_RULE_SPEC's rows have 6 distinct partial sums: 7 bins for each of
+    # 4 states, so a table over k points has 28 * k entries
     cums = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)
-    for width, stride in [(1, 7), (7, 7), (11, 11)]:
-        assert ergodic._walk_tables(cums, width, 4 * stride)[0] == stride
-        assert ergodic._walk_tables(cums, width, 4 * stride - 1) == (width, None)
-        monkeypatch.setattr(ergodic, "_TABLE", 4 * stride - 1)
-        assert ergodic._walk_tables(cums, width, 10**9) == (width, None)
+    for k in (1, 3, 11):
+        fibers, size = np.zeros((4, k), dtype=np.int64), 28 * k
+        assert len(ergodic._pair_table(cums, fibers, size)[1]) == size
+        assert ergodic._pair_table(cums, fibers, size - 1) is None
+        monkeypatch.setattr(ergodic, "_TABLE", size - 1)
+        assert ergodic._pair_table(cums, fibers, 10**9) is None
         monkeypatch.undo()
 
 
 def spy_tables(monkeypatch) -> list:
-    """Record (table size, bound, draws served) of every next-state table
-    _walk_tables builds, and None for each it refuses."""
-    import stepskew.ergodic as ergodic
+    """Record (table size, bound, draws served) of every pair table
+    _pair_table builds, and None for each it refuses."""
+    real, built = ergodic._pair_table, []
 
-    real, built = ergodic._walk_tables, []
+    def spy(cums, fibers, draws):
+        table = real(cums, fibers, draws)
+        built.append(table and (len(table[1]), ergodic._TABLE, draws))
+        return table
 
-    def spy(cums, width, draws):
-        stride, tables = real(cums, width, draws)
-        built.append(tables and (len(tables[1]), ergodic._TABLE, draws))
-        return stride, tables
-
-    monkeypatch.setattr(ergodic, "_walk_tables", spy)
+    monkeypatch.setattr(ergodic, "_pair_table", spy)
     return built
 
 
 @pytest.mark.parametrize("bound", ["refused", "default"])
-@given(st.sampled_from(DRAWN_SPECS), st.integers(0, 2**32), st.integers(64, 300), st.data())
+@given(st.sampled_from(DRAWN_SPECS), st.integers(0, 2**32), st.integers(208, 300), st.data())
 @settings(max_examples=8, deadline=None)
 def test_entry_points_match_reference_on_both_sides_of_the_table_bound(
     bound, idx, seed, length, data
 ):
-    import stepskew.ergodic as ergodic
-
     spec = sk.generate_spec(GEN, index=idx)
     start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
     trials = data.draw(st.integers(1, 3))
@@ -372,8 +418,8 @@ def test_entry_points_match_reference_on_both_sides_of_the_table_bound(
             mp.setattr(ergodic, "_TABLE", 0)
         paths = [sk.sample_path(spec, seed, length, start, stream=t) for t in range(trials)]
         first, occ = sk.orbit_occupancy(sys_, seed, trials, [length], x, start)
-    # at least 64 draws: the default bound builds every table, as each
-    # has at most 4 states x 13 bins or points
+    # at least 208 draws: the default bound builds every table, as each
+    # has at most 4 states x 13 bins x 4 points
     assert all((b is None) == (bound == "refused") for b in built)
     assert all(b is None or b[0] <= min(b[1:]) for b in built)
     tables = sys_.family.tables.tolist()
@@ -388,8 +434,9 @@ def test_entry_points_match_reference_on_both_sides_of_the_table_bound(
 
 
 def test_dense_300_state_simulate_builds_no_table(monkeypatch):
-    # 300 states with every entry positive: 89,701 bins a state would need
-    # a table of 2.7e7 entries, so the walk compares instead
+    # 300 states with every entry positive: 89,701 bins would need a table
+    # of 2.7e7 entries for the path and 1.1e8 over 4 points, so both walks
+    # compare instead
     rng = np.random.default_rng(5)
     rows = rng.random((300, 300)) + 0.1
     rows /= rows.sum(axis=1, keepdims=True)
@@ -402,6 +449,41 @@ def test_dense_300_state_simulate_builds_no_table(monkeypatch):
     assert built == [None, None]
     assert len(trace.rows) == 2
     assert path.tolist() == reference_path(spec, 1, 200).tolist()
+
+
+def reference_occupancy(sys_, seed, trials, checkpoints, x0):
+    """Visit counts at each checkpoint by the scalar reference draw, one
+    reference_path per trial started at point x0[t]."""
+    tables = sys_.family.tables.tolist()
+    counts = {n: np.zeros((trials, sys_.family.space.k), dtype=np.int64) for n in checkpoints}
+    for t in range(trials):
+        pos = x0[t]
+        for n, state in enumerate(reference_path(sys_.spec, seed, checkpoints[-1], None, t).tolist()):
+            for c in checkpoints:
+                if n < c:
+                    counts[c][t, pos] += 1
+            pos = tables[state][pos]
+    return counts
+
+
+# A block of bins holds _BINNED // trials steps and the visit buffer
+# _VISITS // trials: checkpoints either side of a block edge and of a full
+# buffer, where the fold must split a block.
+@pytest.mark.parametrize(
+    "trials, block, checkpoints", [(10_000, 1, [1, 2, 6, 7]), (5_000, 3, [2, 3, 4, 13, 14])]
+)
+def test_occupancy_folds_across_block_and_buffer_edges(trials, block, checkpoints):
+    assert max(ergodic._BINNED // trials, 1) == block
+    idx = DRAWN_SPECS[0]
+    spec, space = sk.generate_spec(GEN, index=idx), sk.generate_space(GEN, index=idx)
+    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=idx))
+    support = space.support.tolist()
+    x0 = np.array([support[t % len(support)] for t in range(trials)])
+    first, occ = sk.orbit_occupancy(sys_, 3, trials, checkpoints, x0)
+    want = reference_occupancy(sys_, 3, trials, checkpoints, x0.tolist())
+    assert sorted(occ) == checkpoints
+    for n in checkpoints:
+        assert (occ[n] == want[n]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +981,7 @@ def test_caps_refuse_before_any_step(rotation_system, monkeypatch, entry, cap):
     def refuse(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(ergodic, "_driving_states", refuse)
+    monkeypatch.setattr(ergodic, "_walk_pairs", refuse)
     monkeypatch.setattr(sk.SkewSystem, "_pair_step", refuse)
     with pytest.raises(sk.TooLarge, match=cap):
         CAPPED_CALLS[entry](rotation_system, ergodic)
@@ -1000,11 +1082,21 @@ def test_occupancy_refuses_non_integer_x0(bufetov_system, x0):
         sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
 
 
-@pytest.mark.parametrize("x0", [-1, 3, [0, -1], [3, 0]])
+@pytest.mark.parametrize("x0", [-1, 3, [0, -1], [3, 0], 5, np.uint64(2**63)])
 def test_occupancy_refuses_out_of_range_x0(bufetov_system, x0):
-    # k = 3 points: -1 must not wrap to the last point, 3 is past the end
-    with pytest.raises(sk.StartOffSupport, match="zero-mass point"):
+    # k = 3 points: -1 must not wrap to the last point, 3 is past the end,
+    # and 2**63 must not wrap to a negative int64
+    with pytest.raises(sk.ValidationError, match=r"is not a point index 0\.\.2") as err:
         sk.orbit_occupancy(bufetov_system, seed=1, trials=2, checkpoints=[3], x0=x0)
+    assert not isinstance(err.value, sk.StartOffSupport)
+
+
+@pytest.mark.parametrize("x0", [2, [0, 2]])
+def test_occupancy_refuses_a_zero_mass_start_point(x0):
+    spec = sk.trivial_kernel(sk.ProbVector.from_values([0.5, 0.5]))
+    sys_ = system_of(spec, [[1, 0, 2], [1, 0, 2]], mu=[0.5, 0.5, 0.0])
+    with pytest.raises(sk.StartOffSupport, match="zero-mass point"):
+        sk.orbit_occupancy(sys_, seed=1, trials=2, checkpoints=[3], x0=x0)
 
 
 def test_occupancy_takes_integer_array_x0(bufetov_system):
@@ -1018,6 +1110,42 @@ def test_occupancy_takes_integer_array_x0(bufetov_system):
 def test_occupancy_x0_of_wrong_length_is_refused(rotation_system):
     with pytest.raises(sk.DimensionMismatch, match=r"x0.*trials=3"):
         sk.orbit_occupancy(rotation_system, seed=1, trials=3, checkpoints=[5], x0=[0, 1])
+
+
+# Every entry point that takes a seed or a stream, called with that value.
+SEED_ENTRY_POINTS = {
+    "substream(seed)": lambda s, v: sk.substream(v),
+    "substream(stream)": lambda s, v: sk.substream(1, v),
+    "sample_path(seed)": lambda s, v: sk.sample_path(s.spec, v, 5),
+    "sample_path(stream)": lambda s, v: sk.sample_path(s.spec, 1, 5, stream=v),
+    "orbit_occupancy(seed)": lambda s, v: sk.orbit_occupancy(s, v, 2, [5], 0),
+    "convergence_report(seed)": lambda s, v: sk.convergence_report(s, IND1, 0, v, [5], trials=2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [1.5, "7", None, True, np.bool_(True)])
+def test_non_integer_seed_or_stream_is_refused(rotation_system, entry, value):
+    what = entry[entry.index("(") + 1 : -1]
+    with pytest.raises(sk.ValidationError, match=f"{what} must be an integer"):
+        SEED_ENTRY_POINTS[entry](rotation_system, value)
+
+
+@pytest.mark.parametrize("value", [5, -2])
+def test_numpy_integer_seed_and_stream_draw_as_the_int(rotation_system, value):
+    # any integer is taken modulo 2**64, so -2 is 2**64 - 2
+    as_numpy, spec = np.int64(value), rotation_system.spec
+    heads = sk.substream(value, value).random(4).tolist()
+    assert sk.substream(as_numpy, as_numpy).random(4).tolist() == heads
+    assert sk.substream(value % 2**64, value % 2**64).random(4).tolist() == heads
+    path = sk.sample_path(spec, value, 60, stream=value)
+    assert sk.sample_path(spec, as_numpy, 60, stream=as_numpy).tolist() == path.tolist()
+    assert path.tolist() == reference_path(spec, value, 60, stream=value).tolist()
+    first, occ = sk.orbit_occupancy(rotation_system, value, 3, [60], 0)
+    first_np, occ_np = sk.orbit_occupancy(rotation_system, as_numpy, 3, [60], 0)
+    assert first_np.tolist() == first.tolist() and occ_np[60].tolist() == occ[60].tolist()
+    csv = sk.convergence_report(rotation_system, IND1, 0, value, [60], trials=3).to_csv()
+    assert sk.convergence_report(rotation_system, IND1, 0, as_numpy, [60], trials=3).to_csv() == csv
 
 
 # State 2 is transient: it has zero stationary mass.
@@ -1042,10 +1170,10 @@ START_ENTRY_POINTS = {
      (0.5, sk.ValidationError), (True, sk.ValidationError)],
 )
 def test_bad_start_state_is_refused_before_sampling(monkeypatch, entry, start, error):
-    def no_sampling(*args):
+    def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the start state")
 
-    monkeypatch.setattr(np.random, "Generator", no_sampling)
+    monkeypatch.setattr(np.random, "Philox", no_sampling)
     sys_ = system_of(TRANSIENT_SPEC, [[1, 0, 2], [0, 2, 1], [2, 1, 0]])
     with pytest.raises(error, match=f"start state {start}"):
         START_ENTRY_POINTS[entry](sys_, start)
