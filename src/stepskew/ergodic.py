@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import _checked_f
 from .errors import DimensionMismatch, StartOffSupport, TooLarge, ValidationError
-from .kernels import MarkovSpec, _is_index
+from .kernels import MarkovSpec, ProbVector, _is_index
 from .skew import SkewSystem
 
 
@@ -44,24 +44,11 @@ def substream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
 
 
-def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, the top end pinned to 1."""
-    cums = np.cumsum(weights, axis=-1)
-    cums[..., -1] = 1.0  # guard float drift at the top end
-    return cums
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The uniforms Generator.random makes of raw Philox words: each word's
-    top 53 bits times 2**-53, exact in float64."""
-    return (words >> 11) * 2.0**-53
-
-
 _CHUNK = 4096  # words drawn per stream at a time
-_UNIFORMS = 1 << 22  # words held at once over all streams (32 MB)
+_WORDS = 1 << 22  # words held at once over all streams (32 MB)
 _BINNED = 1 << 14  # words binned at a time over all streams (128 KB)
 _TABLE = 1 << 22  # most entries in a pair table (32 MB, as many as the words)
-_BUCKETS = 1 << 12  # a word's top 12 bits are its uniform's bucket of bins
+_BUCKETS = 1 << 12  # a word's top 12 bits are its bucket of bins
 _VISITS = 1 << 16  # visit indices buffered per bincount in orbit_occupancy
 _DP_BLOCK = 1 << 16  # (state, point) masses held per block of DP steps
 
@@ -88,36 +75,49 @@ def _checked_horizon(value, what: str, least: int = 1) -> int:
     return value
 
 
-def _pair_table(cums: np.ndarray, fibers: np.ndarray, draws: int):
-    """(G, table, buckets) stepping the pairs s = y * k + x of the fiber maps
-    fibers (n, k) under the rows cums, or None when the table's entries would
-    exceed _TABLE or the draws it serves.
+def _row_keys(values: np.ndarray):
+    """(cols, keys, G) drawing the rows of the weights values from raw words w
+    over their nonzero entries, in O(rows·max row support) memory beside them.
 
-    G holds the distinct partial sums of the rows, pinned entries left out,
-    and u's bin is g = #{G <= u}. A row's partial sum G[i] is <= u exactly
-    when i < g, so with D[y, g] = row y's draw #{cums[y, :-1] <= u},
-    table[g * n * k + s] = D[y, g] * k + fibers[y, x] is the next pair.
-    buckets holds g * n * k for the bin g at each bucket's lower edge
-    b / _BUCKETS, or -1 where a breakpoint lies strictly inside the bucket.
-    """
-    (n, k), G = fibers.shape, np.sort(cums[:, :-1], axis=None)
-    G = G[np.diff(G, prepend=-1.0) > 0]  # each value once: the sums are >= 0
-    bins = len(G) + 1
+    A row draws its support column at the count of its thresholds ⌈c·2⁵³⌉
+    <= v = w >> 11, c its partial sums but the last (as c·2⁵³ is exact, that
+    is u >= c for w's uniform u): never a weight-0 column. With g = #{G <= v}
+    for the distinct thresholds G, row y draws cols[#{keys <= y·(len(G) + 1)
+    + g} + y], keys holding y·(len(G) + 1) + #{G <= t} for its thresholds t."""
+    rows, cols = np.divmod(np.flatnonzero(values), values.shape[1])
+    counts = np.bincount(rows, minlength=len(values))
+    at = np.arange(len(rows)) - (np.cumsum(counts) - counts).take(rows)
+    sums = np.zeros((len(values), counts.max()))
+    sums[rows, at] = values[rows, cols]
+    np.cumsum(sums, axis=1, out=sums)
+    inner = at < counts.take(rows) - 1
+    T = np.ceil(sums[rows[inner], at[inner]] * 2.0**53)
+    G = np.sort(T)  # in float64, as ceil keeps the order; np.unique loads numpy.ma
+    G = G[np.diff(G, prepend=-1.0) > 0]
+    return cols, np.searchsorted(G, T) + 1 + rows[inner] * (len(G) + 1), G.astype(np.uint64)
+
+
+def _draw(p: ProbVector, words: np.ndarray) -> np.ndarray:
+    """The index each raw word draws from p: _row_keys' rule on one row."""
+    cols, keys, G = _row_keys(p.values[None, :])
+    g = np.searchsorted(G, words >> 11, side="right")
+    return cols.take(np.searchsorted(keys, g, side="right"))
+
+
+def _pair_table(cols, keys, G, fibers: np.ndarray, draws: int):
+    """table[g·n·k + s] = (row y's draw in bin g)·k + fibers[y, x] for s = y·k + x;
+    None when its (len(G) + 1)·n·k entries would exceed _TABLE or the draws."""
+    (n, k), bins = fibers.shape, len(G) + 1
     if bins * n * k > min(_TABLE, draws):
         return None
-    at = np.searchsorted(G, cums[:, :-1]) + 1 + np.arange(0, n * bins, bins)[:, None]
-    D = np.bincount(at.ravel(), minlength=n * bins).reshape(n, bins).cumsum(axis=1)
-    table = (D.T * k).repeat(k, axis=1)
+    q = np.arange(n * bins)
+    drawn = cols.take(np.searchsorted(keys, q, side="right") + q // bins).reshape(n, bins)
+    table = (drawn.T * k).repeat(k, axis=1)
     table += fibers.ravel()
-    edges = np.arange(_BUCKETS + 1) / _BUCKETS
-    low = np.searchsorted(G, edges[:-1], side="right")
-    buckets = np.where(np.searchsorted(G, edges[1:]) > low, -1, low * (n * k))
-    return G, table.ravel(), buckets
+    return table.ravel()
 
 
-def _walk_pairs(
-    spec: MarkovSpec, seed: int, streams, start: int | None, steps: int, fibers, x0
-):
+def _walk_pairs(spec: MarkovSpec, seed: int, streams, start: int | None, steps: int, fibers, x0):
     """Pairs s = y * k + x at steps 0 .. steps-1 of one walk per stream, as
     (steps in the block, len(streams)) arrays: the driving state y steps by
     a row draw and the point x by fibers[y, x], from x0[i] on stream i.
@@ -125,10 +125,10 @@ def _walk_pairs(
     Each stream spends its words in a pinned order: one for the initial
     state from m (none when start fixes it), then one per step for the row
     draw, taken in chunks of at most _CHUNK (fewer when many streams would
-    hold more than _UNIFORMS at once) and never more than the steps still to
-    go. Stream s yields the same pairs whatever the other streams. A step is
-    one gather from the _pair_table at the bin of the word's uniform u, or,
-    without that table, a comparison of u with the row's partial sums.
+    hold more than _WORDS at once) and never more than the steps still to
+    go. Stream s yields the same pairs whatever the other streams. A word's
+    bin (_row_keys) is looked up by its top 12 bits, or searched where they
+    leave it open; a step is one gather from the _pair_table, or one search.
     """
     if start is not None:
         if not _is_index(start, spec.n):
@@ -137,8 +137,13 @@ def _walk_pairs(
             raise StartOffSupport(f"start state {start} has zero stationary mass")
     keys = [_stream_key(seed, s) for s in streams]
     (n, k), trials = fibers.shape, len(keys)
-    m_cum, cums = _cumulative(spec.m.values), _cumulative(spec.kernel.values)
-    walk_table, flat = _pair_table(cums, fibers, trials * steps), fibers.ravel()
+    cols, ranked, G = _row_keys(spec.kernel.values)
+    table, flat = _pair_table(cols, ranked, G, fibers, trials * steps), fibers.ravel()
+    # bucket w >> 52 holds the bin (times n·k for the table) of its words, or -1
+    scale, bins = (1 if table is None else n * k), len(G) + 1
+    edges = np.arange(_BUCKETS + 1, dtype=np.uint64) << 41
+    low = np.searchsorted(G, edges[:-1], side="right")
+    buckets = np.where(np.searchsorted(G, edges[1:]) > low, -1, low * scale)
     # One Philox serves every stream, through one state dict re-keyed in
     # place. Philox makes words 4 at a time from counters 1, 2, ..., so key
     # (seed, s) with counter c and an empty buffer stands where
@@ -148,9 +153,8 @@ def _walk_pairs(
     state = bg.state
     counter, drawn = state["state"]["counter"], 0
     lead = int(start is None)  # column 0 of the first chunk draws the initial state
-    if start is not None:
-        pairs = start * k + x0
-    chunk = min(_CHUNK, max(_UNIFORMS // trials, 1))
+    pairs = None if lead else start * k + x0
+    chunk = min(_CHUNK, max(_WORDS // trials, 1))
     block = max(_BINNED // trials, 1)
     words = np.empty((trials, min(chunk, steps) + lead), dtype=np.uint64)
     for done in range(0, steps, chunk):
@@ -162,28 +166,25 @@ def _walk_pairs(
             row[:width] = bg.random_raw(skip + width)[skip:]
         drawn += width
         if lead:
-            pairs = (m_cum <= _uniforms(words[:, :1])).sum(axis=1) * k + x0
+            pairs = _draw(spec.m, words[:, 0]) * k + x0
         for at in range(lead, width, block):
             v = words[:, at : min(at + block, width)].T
             out = np.empty((len(v) + 1, trials), dtype=np.int64)
             out[0] = pairs
-            if walk_table is None:
-                for row, s, after in zip(_uniforms(v), out, out[1:]):
-                    # The index of the first cumulative entry > u is the count
-                    # of entries <= u: partial sums never decrease before the
-                    # pinned last entry, and that 1.0 exceeds every u, even in
-                    # a row whose sums drift above 1.0 before it.
-                    y = (cums[s // k] > row[:, None]).argmax(axis=1)
-                    np.add(y * k, flat.take(s), out=after)
-            else:
-                G, table, buckets = walk_table
-                # A word's top 12 bits are exactly the bucket of its uniform.
-                bins = buckets.take(v >> 52)
-                split = bins < 0
-                bins[split] = np.searchsorted(G, _uniforms(v[split]), side="right") * (n * k)
-                for g, s, after in zip(bins, out, out[1:]):
-                    # the indices are in range, and "clip" writes out unbuffered
-                    table.take(s + g, out=after, mode="clip")
+            g = buckets.take(v >> 52)
+            split = g < 0
+            w = v[split] >> 11
+            order = w.argsort()  # sorted words search a long G with few cache misses
+            w[order] = np.searchsorted(G, w[order], side="right")  # the words' bins
+            g[split] = w * scale
+            if table is None:
+                for gs, s, after in zip(g, out, out[1:]):
+                    y = s // k
+                    y_next = cols.take(np.searchsorted(ranked, y * bins + gs, side="right") + y)
+                    np.add(y_next * k, flat.take(s), out=after)
+            else:  # the indices are in range, and "clip" writes out unbuffered
+                for gs, s, after in zip(g, out, out[1:]):
+                    table.take(s + gs, out=after, mode="clip")
             pairs = out[-1]
             yield out[:-1]
         lead = 0

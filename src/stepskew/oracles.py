@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
-from .ergodic import _cumulative, orbit_occupancy, substream
+from .ergodic import _draw, orbit_occupancy, substream
 from .kernels import (
     MarkovSpec,
     ProbVector,
@@ -124,10 +124,9 @@ def statistical_ergodicity_probe(
     if trials < 30:
         raise ValidationError("probe needs at least 30 trials")
     setup = substream(seed, _U63_SALT)
-    k = sys.family.space.k
-    f = setup.random(k)
-    mu_cum = _cumulative(sys.family.space.mu.values)
-    x_starts = (mu_cum[None, :] <= setup.random(trials)[:, None]).sum(axis=1)
+    f = setup.random(sys.family.space.k)
+    # the words setup.random(trials) would take, drawn over mu's support
+    x_starts = _draw(sys.family.space.mu, setup.bit_generator.random_raw(trials))
     _, occ = orbit_occupancy(sys, seed, trials, [horizon], x_starts, start=None)
     limits = occ[horizon] @ f / horizon
     return float(limits.max() - limits.min())

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +163,41 @@ def next_word(bg) -> tuple[tuple, int]:
     return tuple(state["state"]["key"].tolist()), at
 
 
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms Generator.random makes of raw Philox words: each word's
+    top 53 bits times 2**-53, exact in float64."""
+    return (words >> 11) * 2.0**-53
+
+
+def cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the top end pinned to 1: the
+    rows the comparison step reads."""
+    cums = np.cumsum(weights, axis=-1)
+    cums[..., -1] = 1.0
+    return cums
+
+
+def comparison_step(cum: np.ndarray, u: float) -> int:
+    """The row draw the sampler made before it drew over row supports: the
+    first cumulative entry > u, which is the count of entries <= u."""
+    return int((cum > u).argmax())
+
+
+def support_thresholds(row) -> tuple[list[int], list[int]]:
+    """(support columns, ⌈c·2⁵³⌉ for each partial sum c over the support
+    but its last) of a row of weights, summed left to right."""
+    cols = np.flatnonzero(row).tolist()
+    sums = list(itertools.accumulate(float(row[j]) for j in cols))[:-1]
+    return cols, [math.ceil(c * GRID) for c in sums]
+
+
+def support_draw(row, w: int) -> int:
+    """The support rule: the row's support column at the count of its
+    thresholds <= w >> 11."""
+    cols, thresholds = support_thresholds(row)
+    return cols[sum(t <= w >> 11 for t in thresholds)]
+
+
 class _GivenWords(_PHILOX):
     """Stands in for the sampler's bit generator: each stream, told apart by
     its key, hands out its given raw words from where its counter stands."""
@@ -202,7 +239,7 @@ def test_row_draw_is_the_counting_rule(monkeypatch, start):
     # the entries <= u, at u = 0, at the least uniform at or above each
     # threshold, one grid step either side of it, and at the largest
     # uniform below 1
-    cum = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)[start]
+    cum = cumulative(ROW_RULE_SPEC.kernel.values)[start]
     assert start != 0 or cum[2] > 1.0  # the drifting row
     near = {a + d for a in (math.ceil(c * GRID) for c in cum) for d in (-1, 0, 1)}
     us = sorted(g / GRID for g in near | {0, GRID // 2, GRID - 1} if 0 <= g < GRID)
@@ -250,13 +287,13 @@ def test_sampler_draws_are_the_substreams(steps, start, seed, streams):
         assert sorted(words) == list(range(heads))
         got = np.array([words[i] for i in range(heads)], dtype=np.uint64)
         assert got.tolist() == _PHILOX(key=key).random_raw(heads).tolist()
-        assert ergodic._uniforms(got).tolist() == sk.substream(seed, s).random(heads).tolist()
+        assert uniforms(got).tolist() == sk.substream(seed, s).random(heads).tolist()
 
 
-@pytest.mark.parametrize("uniforms", [1, 6, 17, 64])
+@pytest.mark.parametrize("budget", [1, 6, 17, 64])
 @pytest.mark.parametrize("start", [None, 0])
-def test_uniform_budget_shrinks_chunks_not_draws(uniforms, start):
-    # six streams share the budget: each keeps at most uniforms // 6 (at
+def test_uniform_budget_shrinks_chunks_not_draws(budget, start):
+    # six streams share the budget: each keeps at most budget // 6 (at
     # least 1) new words per chunk, plus its initial state, drops fewer
     # than 4 it had drawn before, and walks the same states
     widths, ends = [], {}
@@ -271,11 +308,11 @@ def test_uniform_budget_shrinks_chunks_not_draws(uniforms, start):
 
     want = walk_states(ROW_RULE_SPEC, 3, range(6), start, 40).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ergodic, "_UNIFORMS", uniforms)
+        mp.setattr(ergodic, "_WORDS", budget)
         mp.setattr(np.random, "Philox", Recording)
         got = walk_states(ROW_RULE_SPEC, 3, range(6), start, 40).tolist()
     assert got == want
-    assert max(widths) == max(uniforms // 6, 1) + (start is None)
+    assert max(widths) == max(budget // 6, 1) + (start is None)
 
 
 EDGES = [b / 4096 for b in (0, 1, 819, 2048, 3000, 4095)]
@@ -287,17 +324,26 @@ BREAKPOINTS = sorted(
     {float(np.nextafter(e, d)) for e in EDGES for d in (0.0, 2.0)} | {*EDGES, 0.2, 0.3, 0.7, 1.0}
 )
 DRIFTING_ROW = [0.2, 0.7, 0.1]  # partial sums reach 1.0000000000000002
+SHORT_ROW = [0.6, 0.3, 0.1]  # partial sums end at 0.9999999999999999
 
 
 @st.composite
 def raw_kernels(draw):
     """Rows of weights, taken as they are (no normalisation): each the gaps
-    between sorted breakpoints, or the drifting row padded with zeros."""
+    between sorted breakpoints, the drifting row padded with zeros, or the
+    short row spread over the columns before a zero last one."""
     n = draw(st.integers(1, 5))
     rows = []
     for _ in range(n):
         if n >= 3 and draw(st.booleans()):
             rows.append(DRIFTING_ROW + [0.0] * (n - 3))
+            continue
+        if n >= 4 and draw(st.booleans()):
+            row = [0.0] * n
+            at = sorted(draw(st.lists(st.integers(0, n - 2), min_size=3, max_size=3, unique=True)))
+            for j, w in zip(at, SHORT_ROW):
+                row[j] = w
+            rows.append(row)
             continue
         cuts = sorted(draw(st.lists(st.sampled_from(BREAKPOINTS), min_size=n - 1, max_size=n - 1)))
         rows.append(np.diff([0.0, *cuts, 1.0]).tolist())
@@ -327,14 +373,15 @@ def near_breakpoints(cums: np.ndarray) -> list[int]:
 @settings(max_examples=40, deadline=None)
 def test_table_walk_is_the_comparison_step(built, kernel, data):
     spec, n = raw_spec(kernel), len(kernel)
-    cums = ergodic._cumulative(kernel)
+    cums = cumulative(kernel)
     n_streams = data.draw(st.integers(1, 4))
     start = data.draw(st.none() | st.integers(0, n - 1))
     k = data.draw(st.integers(1, 3))
     points = st.integers(0, k - 1)
     fibers = np.array(data.draw(st.lists(st.lists(points, min_size=k, max_size=k), min_size=n, max_size=n)))
     x0 = data.draw(st.lists(points, min_size=n_streams, max_size=n_streams))
-    size = (len(np.unique(cums[:, :-1])) + 1) * n * k
+    thresholds = {t for row in kernel for t in support_thresholds(row)[1]}
+    size = (len(thresholds) + 1) * n * k
     least = -(-size // n_streams)
     steps = data.draw(st.integers(least, least + 150))
     # words at the grid points around the breakpoints, with any low bits, or any word
@@ -342,7 +389,7 @@ def test_table_walk_is_the_comparison_step(built, kernel, data):
     words = st.lists(near | st.integers(0, 2**64 - 1), min_size=steps + 1, max_size=steps + 1)
     lists = [data.draw(words) for _ in range(n_streams)]
     # chunks and blocks of bins from one step each to the whole walk
-    budget = data.draw(st.sampled_from([1, 5, 64, ergodic._UNIFORMS]))
+    budget = data.draw(st.sampled_from([1, 5, 64, ergodic._WORDS]))
     binned = data.draw(st.sampled_from([1, 5, 64, ergodic._BINNED]))
 
     def walk(bound):
@@ -350,39 +397,44 @@ def test_table_walk_is_the_comparison_step(built, kernel, data):
         given = {key: list(ws) for key, ws in zip(keys, lists)}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
-            mp.setattr(ergodic, "_UNIFORMS", budget)
+            mp.setattr(ergodic, "_WORDS", budget)
             mp.setattr(ergodic, "_BINNED", binned)
             mp.setattr(ergodic, "_TABLE", bound)
             return walk_pairs(spec, 0, range(n_streams), start, steps, fibers, x0).tolist()
 
-    want = walk(0)  # the comparison step
+    want = walk(0)  # the step without a table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_TABLE", size if built else size - 1)
-        table = ergodic._pair_table(cums, fibers, n_streams * steps)
+        table = ergodic._pair_table(*ergodic._row_keys(spec.kernel.values), fibers, n_streams * steps)
     assert (table is not None) == built
-    assert table is None or len(table[1]) == size
+    assert table is None or len(table) == size
     assert walk(size if built else size - 1) == want
-    # the scalar rule: y steps to the count of its partial sums <= u, x to fibers[y, x]
-    m_cum = ergodic._cumulative(spec.m.values)
+    # The scalar rules: y steps by the comparison step, except where that
+    # lands on a weight-0 column (a row whose sums end below 1.0 before a
+    # zero entry); there the support rule is the oracle. x steps to fibers[y, x].
+    m_cum = cumulative(spec.m.values)
     for i, ws in enumerate(lists):
-        us = [(w >> 11) / GRID for w in ws]
-        y = start if start is not None else int((m_cum <= us.pop(0)).sum())
+        y = start if start is not None else comparison_step(m_cum, uniforms(ws[0]))
         x = x0[i]
-        for step, u in zip(want, us):
+        for step, w in zip(want, ws[start is None :]):
             assert step[i] == y * k + x
-            y, x = int((cums[y] <= u).sum()), int(fibers[y, x])
+            drawn, compared = support_draw(kernel[y], w), comparison_step(cums[y], uniforms(w))
+            assert kernel[y, drawn] > 0
+            assert (drawn != compared) == (kernel[y, compared] == 0)
+            y, x = drawn, int(fibers[y, x])
 
 
 def test_table_size_check_counts_entries_and_draws(monkeypatch):
-    # ROW_RULE_SPEC's rows have 6 distinct partial sums: 7 bins for each of
-    # 4 states, so a table over k points has 28 * k entries
-    cums = ergodic._cumulative(ROW_RULE_SPEC.kernel.values)
+    # ROW_RULE_SPEC's rows have 3 distinct thresholds over their supports
+    # (0.2 and 0.8999999999999999 in row 0, 0.5 in rows 1 and 2): 4 bins for
+    # each of 4 states, so a table over k points has 16 * k entries
+    keys = ergodic._row_keys(ROW_RULE_SPEC.kernel.values)
     for k in (1, 3, 11):
-        fibers, size = np.zeros((4, k), dtype=np.int64), 28 * k
-        assert len(ergodic._pair_table(cums, fibers, size)[1]) == size
-        assert ergodic._pair_table(cums, fibers, size - 1) is None
+        fibers, size = np.zeros((4, k), dtype=np.int64), 16 * k
+        assert len(ergodic._pair_table(*keys, fibers, size)) == size
+        assert ergodic._pair_table(*keys, fibers, size - 1) is None
         monkeypatch.setattr(ergodic, "_TABLE", size - 1)
-        assert ergodic._pair_table(cums, fibers, 10**9) is None
+        assert ergodic._pair_table(*keys, fibers, 10**9) is None
         monkeypatch.undo()
 
 
@@ -391,13 +443,76 @@ def spy_tables(monkeypatch) -> list:
     _pair_table builds, and None for each it refuses."""
     real, built = ergodic._pair_table, []
 
-    def spy(cums, fibers, draws):
-        table = real(cums, fibers, draws)
-        built.append(table and (len(table[1]), ergodic._TABLE, draws))
+    def spy(*args):
+        table = real(*args)
+        built.append(None if table is None else (len(table), ergodic._TABLE, args[-1]))
         return table
 
     monkeypatch.setattr(ergodic, "_pair_table", spy)
     return built
+
+
+# Seven weights 1/7 sum to 0.9999999999999998 after ingest, in each of rows
+# 0..6 and in m, and a zero entry follows: the zero-mass state 7, whose
+# map alone swaps the fiber points, so the counts show a visit to it.
+SHORT_SPEC = spec_of([[1 / 7] * 7 + [0.0]] * 7 + [[0.0] * 7 + [1.0]], [1 / 7] * 7 + [0.0])
+
+
+@pytest.mark.parametrize("bound", ["refused", "default"])
+@pytest.mark.parametrize("start", [None, 0])
+def test_draws_at_a_sum_below_one_stay_on_the_support(monkeypatch, bound, start):
+    # the word ⌈c·2⁵³⌉ << 11 at the last partial sum c < 1 of the support,
+    # for the initial state from m and then at every step: comparing its
+    # uniform with the cumulative rows would draw state 7
+    kernel, m = SHORT_SPEC.kernel.values, SHORT_SPEC.m.values
+    last_row, last_m = np.cumsum(kernel[0])[6], np.cumsum(m)[6]
+    assert last_row < 1.0 and last_m < 1.0 and (kernel[:7] == kernel[0]).all()
+    m_word, row_word = math.ceil(last_m * GRID) << 11, math.ceil(last_row * GRID) << 11
+    assert comparison_step(cumulative(m), uniforms(m_word)) == 7
+    assert comparison_step(cumulative(kernel[0]), uniforms(row_word)) == 7
+    words = [m_word] * (start is None) + [row_word] * 300
+    given = {tuple(ergodic._stream_key(0, t).tolist()): words for t in range(2)}
+    monkeypatch.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
+    if bound == "refused":
+        monkeypatch.setattr(ergodic, "_TABLE", 0)
+    built = spy_tables(monkeypatch)
+    path = sk.sample_path(SHORT_SPEC, 0, 300, start)
+    sys_ = system_of(SHORT_SPEC, [[0, 1]] * 7 + [[1, 0]])
+    first, occ = sk.orbit_occupancy(sys_, 0, 2, [300], 0, start)
+    assert all((b is None) == (bound == "refused") for b in built) and len(built) == 2
+    assert path.max() < 7 and (kernel[path[:-1], path[1:]] > 0).all()
+    assert path.tolist() == [6 if start is None else 0] + [6] * 299
+    assert first.tolist() == [path[0]] * 2
+    assert occ[300].tolist() == [[300, 0]] * 2
+
+
+def test_fallback_walk_memory_grows_with_the_supports(monkeypatch):
+    # 2,100 states with 3 nonzeros a row, past 2,048 states, where offsets
+    # y·2⁵³ would overflow uint64: without a table, the walk holds the row
+    # supports and the words, not a copy of the (n, n) kernel nor a
+    # (trials, n) gather per step
+    n, support, trials, steps = 2100, 3, 20, 300
+    rng = np.random.default_rng(11)
+    kernel = np.zeros((n, n))
+    for y in range(n):
+        kernel[y, rng.choice(n, support, replace=False)] = rng.dirichlet(np.ones(support))
+    spec = raw_spec(kernel)
+    spec.kernel.pattern  # cached with the kernel, before the count starts
+    monkeypatch.setattr(ergodic, "_TABLE", 0)
+    tracemalloc.start()
+    try:
+        walk = walk_states(spec, 3, range(trials), None, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n * support * 8 < n * n
+    assert (walk > 2048).any()
+    for t in range(trials):
+        ws = _PHILOX(key=ergodic._stream_key(3, t)).random_raw(steps + 1).tolist()
+        y = comparison_step(cumulative(spec.m.values), uniforms(ws[0]))
+        for step, w in zip(walk[:, t].tolist(), ws[1:]):
+            assert step == y
+            y = support_draw(kernel[y], w)
 
 
 @pytest.mark.parametrize("bound", ["refused", "default"])
