@@ -14,7 +14,6 @@ substream: results are identical however trials are scheduled.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -32,16 +31,18 @@ def _checked_int(value, what: str) -> int:
     return int(value)
 
 
-def _stream_key(seed, stream) -> np.ndarray:
-    """Philox key of stream (seed, stream): integers of any sign, numpy
-    integers included, each taken modulo 2**64."""
-    key = [_checked_int(seed, "seed") % (1 << 64), _checked_int(stream, "stream") % (1 << 64)]
-    return np.array(key, dtype=np.uint64)
+def _stream_keys(seed, streams) -> np.ndarray:
+    """Philox keys, row i for stream (seed, streams[i]): integers of any sign,
+    numpy integers included, each taken modulo 2**64."""
+    keys = np.empty((len(streams), 2), dtype=np.uint64)
+    keys[:, 0] = _checked_int(seed, "seed") % (1 << 64)
+    keys[:, 1] = [_checked_int(s, "stream") % (1 << 64) for s in streams]
+    return keys
 
 
 def substream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); counter-based, reproducible."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+    return np.random.Generator(np.random.Philox(key=_stream_keys(seed, [stream])[0]))
 
 
 _CHUNK = 4096  # words drawn per stream at a time
@@ -135,7 +136,7 @@ def _walk_pairs(spec: MarkovSpec, seed: int, streams, start: int | None, steps: 
             raise ValidationError(f"start state {start!r} is not a state index 0..{spec.n - 1}")
         if spec.m.values[start] == 0:
             raise StartOffSupport(f"start state {start} has zero stationary mass")
-    keys = [_stream_key(seed, s) for s in streams]
+    keys = _stream_keys(seed, streams)
     (n, k), trials = fibers.shape, len(keys)
     cols, ranked, G = _row_keys(spec.kernel.values)
     table, flat = _pair_table(cols, ranked, G, fibers, trials * steps), fibers.ravel()
@@ -428,6 +429,8 @@ def orbit_occupancy(
 
 def system_digest(sys: SkewSystem) -> str:
     """Short content hash of a skew system, for trace metadata."""
+    import hashlib  # loads OpenSSL, about 3.4 MB of peak RSS, which check and skew never need
+
     h = hashlib.sha256()
     for values in (sys.spec.kernel.values, sys.spec.m.values, sys.family.space.mu.values):
         h.update(np.ascontiguousarray(values).tobytes())

@@ -739,12 +739,15 @@ def _strict_config(n: int, k: int) -> str:
 
 COLD_RUN = """
 import sys
+import numpy
+with_numpy = "_hashlib" in sys.modules  # OpenSSL comes with numpy.random, which some numpy versions import
 from stepskew.cli import main
 assert "scipy" not in sys.modules, "import"
-for path in sys.argv[1:]:
-    for args in (["check"], ["skew"], ["simulate", "--horizons", "10,100", "--trials", "8"]):
+for args in (["check"], ["skew"], ["simulate", "--horizons", "10,100", "--trials", "8"]):
+    for path in sys.argv[1:]:
         assert main([args[0], path, *args[1:]]) == 0, (args, path)
         assert "scipy" not in sys.modules, (args, path)
+        assert with_numpy or args[0] == "simulate" or "_hashlib" not in sys.modules, (args, path)
 """
 
 

@@ -243,7 +243,7 @@ def test_row_draw_is_the_counting_rule(monkeypatch, start):
     assert start != 0 or cum[2] > 1.0  # the drifting row
     near = {a + d for a in (math.ceil(c * GRID) for c in cum) for d in (-1, 0, 1)}
     us = sorted(g / GRID for g in near | {0, GRID // 2, GRID - 1} if 0 <= g < GRID)
-    given = {tuple(ergodic._stream_key(0, s).tolist()): [word(u), word(0.5)] for s, u in enumerate(us)}
+    given = {tuple(ergodic._stream_keys(0, [s])[0].tolist()): [word(u), word(0.5)] for s, u in enumerate(us)}
     monkeypatch.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
     _, drawn = walk_states(ROW_RULE_SPEC, 0, range(len(us)), start, 2)
     expected = [int((cum <= u).sum()) for u in us]
@@ -282,7 +282,7 @@ def test_sampler_draws_are_the_substreams(steps, start, seed, streams):
     assert len(drawn) == len(streams)
     heads = steps + (start is None)
     for s in streams:
-        key = ergodic._stream_key(seed, s)
+        key = ergodic._stream_keys(seed, [s])[0]
         words = drawn[tuple(key.tolist())]
         assert sorted(words) == list(range(heads))
         got = np.array([words[i] for i in range(heads)], dtype=np.uint64)
@@ -393,7 +393,7 @@ def test_table_walk_is_the_comparison_step(built, kernel, data):
     binned = data.draw(st.sampled_from([1, 5, 64, ergodic._BINNED]))
 
     def walk(bound):
-        keys = [tuple(ergodic._stream_key(0, s).tolist()) for s in range(n_streams)]
+        keys = [tuple(ergodic._stream_keys(0, [s])[0].tolist()) for s in range(n_streams)]
         given = {key: list(ws) for key, ws in zip(keys, lists)}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
@@ -471,7 +471,7 @@ def test_draws_at_a_sum_below_one_stay_on_the_support(monkeypatch, bound, start)
     assert comparison_step(cumulative(m), uniforms(m_word)) == 7
     assert comparison_step(cumulative(kernel[0]), uniforms(row_word)) == 7
     words = [m_word] * (start is None) + [row_word] * 300
-    given = {tuple(ergodic._stream_key(0, t).tolist()): words for t in range(2)}
+    given = {tuple(ergodic._stream_keys(0, [t])[0].tolist()): words for t in range(2)}
     monkeypatch.setattr(np.random, "Philox", lambda key: _GivenWords(given, key))
     if bound == "refused":
         monkeypatch.setattr(ergodic, "_TABLE", 0)
@@ -508,7 +508,7 @@ def test_fallback_walk_memory_grows_with_the_supports(monkeypatch):
     assert peak < 24 * n * support * 8 < n * n
     assert (walk > 2048).any()
     for t in range(trials):
-        ws = _PHILOX(key=ergodic._stream_key(3, t)).random_raw(steps + 1).tolist()
+        ws = _PHILOX(key=ergodic._stream_keys(3, [t])[0]).random_raw(steps + 1).tolist()
         y = comparison_step(cumulative(spec.m.values), uniforms(ws[0]))
         for step, w in zip(walk[:, t].tolist(), ws[1:]):
             assert step == y
