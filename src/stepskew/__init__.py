@@ -62,7 +62,6 @@ from .oracles import (
     generate_family,
     generate_space,
     generate_spec,
-    statistical_ergodicity_probe,
 )
 from .skew import (
     ErgodicityReport,

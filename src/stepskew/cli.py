@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         if args.command == "gallery":
             text = render_config(gallery_config(args.name))
             if args.emit:
-                with open(args.emit, "w") as fh:
+                with open(args.emit, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:
                 _sys.stdout.write(text)
@@ -383,13 +383,13 @@ def main(argv=None) -> int:
                 x_label=args.x_label,
             )
             if args.out:
-                with open(args.out, "w") as fh:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(csv)
             else:
                 _sys.stdout.write(csv)
         return 0
-    except (ParseError, ValidationError, TooLarge, OSError) as e:
-        print(f"error: {e}", file=_sys.stderr)
+    except (ParseError, ValidationError, TooLarge, OSError, UnicodeEncodeError) as e:
+        print(f"error: {e}", file=_sys.stderr)  # also when stdout cannot encode the report
         return 1
 
 

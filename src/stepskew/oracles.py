@@ -2,9 +2,8 @@
 
 The brute-force routines re-derive structural answers by raw subset
 enumeration, sharing no code with the production predicates they check.
-The statistical probe attacks skew ergodicity from sampled trajectories
-instead of graph structure. Generators are pure functions of
-(config, instance index); identical inputs reproduce identical instances.
+Generators are pure functions of (config, instance index); identical
+inputs reproduce identical instances.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .dynamics import FiniteMeasureSpace, TransformationFamily
 from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
-from .ergodic import _draw, orbit_occupancy, substream
+from .ergodic import substream
 from .kernels import (
     MarkovSpec,
     ProbVector,
@@ -24,10 +23,6 @@ from .kernels import (
     validate_spec,
 )
 from .skew import SkewSystem
-
-# Max Birkhoff-limit spread tolerated before the probe calls a system
-# non-ergodic (at its default horizon and trial count).
-DISPERSION_THRESHOLD = 0.05
 
 _ENUM_STATE_CAP = 12
 _ENUM_PAIR_CAP = 16
@@ -107,32 +102,6 @@ def brute_force_invariant_sets(sys: SkewSystem) -> list[frozenset[int]]:
             out.append(frozenset(k for k in range(size) if sub >> k & 1))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
-
-
-def statistical_ergodicity_probe(
-    sys: SkewSystem,
-    seed: int,
-    trials: int = 50,
-    horizon: int = 100_000,
-) -> float:
-    """Spread of sampled Birkhoff limits across random starting pairs.
-
-    The probe is one-sided: a spread above DISPERSION_THRESHOLD certifies
-    non-ergodicity, a small one proves nothing (the test function may fail
-    to separate the classes).
-    """
-    if trials < 30:
-        raise ValidationError("probe needs at least 30 trials")
-    setup = substream(seed, _U63_SALT)
-    f = setup.random(sys.family.space.k)
-    # the words setup.random(trials) would take, drawn over mu's support
-    x_starts = _draw(sys.family.space.mu, setup.bit_generator.random_raw(trials))
-    _, occ = orbit_occupancy(sys, seed, trials, [horizon], x_starts, start=None)
-    limits = occ[horizon] @ f / horizon
-    return float(limits.max() - limits.min())
-
-
-_U63_SALT = (1 << 63) + 11  # setup stream; never collides with trial indices
 
 
 def _random_pattern(rng: np.random.Generator, n: int, sparsity: float) -> list[list[int]]:

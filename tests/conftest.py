@@ -14,14 +14,15 @@ import stepskew as sk
 from stepskew.graphs import Partition, indices_by_label
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def fresh_python(code: str, *args: str, flags=(), **env: str) -> subprocess.CompletedProcess:
     """Run code in a new interpreter that imports this stepskew, with args
-    as its sys.argv[1:]; text output captured."""
+    as its sys.argv[1:], flags as its own options and env over this
+    process's environment; text output captured."""
     src = str(Path(sk.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code, *args],
+        env=dict(os.environ, **env, PYTHONPATH=path), capture_output=True, text=True,
     )
 
 

@@ -408,6 +408,38 @@ def test_main_reports_a_malformed_document_without_a_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# The C locale without UTF-8 mode or locale coercion: the locale's encoding,
+# and so stdout's and that of a file opened without one, is ASCII.
+ASCII_LOCALE = dict(
+    flags=("-X", "utf8=0"), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING=""
+)
+RUN_MAIN = "import sys; from stepskew.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _beta_rotation(tmp_path) -> str:
+    """bernoulli_rotation with its test function renamed "β", as a file."""
+    cfg = gallery_config("bernoulli_rotation")
+    path = tmp_path / "beta.json"
+    path.write_text(render_config(dataclasses.replace(cfg, function=("β", cfg.function[1]))))
+    return str(path)
+
+
+def test_simulate_writes_its_csv_as_utf8_in_an_ascii_locale(tmp_path):
+    out = tmp_path / "trace.csv"
+    args = ("simulate", _beta_rotation(tmp_path), "--horizons", "10", "--out", str(out))
+    run = fresh_python(RUN_MAIN, *args, **ASCII_LOCALE)
+    assert run.returncode == 0, run.stderr
+    assert "# f: β\n" in out.read_text(encoding="utf-8")
+
+
+def test_a_report_stdout_cannot_encode_ends_in_an_error_line(tmp_path):
+    args = ("simulate", _beta_rotation(tmp_path), "--horizons", "10")
+    run = fresh_python(RUN_MAIN, *args, **ASCII_LOCALE)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+
 # A label holding a lone surrogate is valid JSON but cannot be printed.
 LONE_SURROGATES = {
     "states": lambda text: text.replace('"0"', '"\\ud800"'),
