@@ -40,7 +40,8 @@ be exactly the cycle through state 0, the first support state, as a walk
 along that cycle in pure Python finds it.
 
 Run from the repository root (the cycle walk is imported from
-tests/conftest.py, so pytest must be installed):
+tests/conftest.py, so pytest must be installed, and the instance generator
+from tests/instances.py):
 
     PYTHONPATH=src python scripts/scale_300.py [--periodic-n N]
 """
@@ -62,6 +63,7 @@ from stepskew import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import cycle_class_labels, periodic_system  # noqa: E402
+from instances import GeneratorConfig, generate_family, generate_space, generate_spec  # noqa: E402
 
 N = K = 300
 CUTS = [0, 30, 105, 180, 300]
@@ -145,7 +147,7 @@ def time_big_family_partition() -> float:
     return statistics.median(runs)
 
 
-DP_CONFIG = sk.GeneratorConfig(
+DP_CONFIG = GeneratorConfig(
     seed=864, n_states=(8, 8), n_points=(64, 64), sparsity=3.0, degenerate_bias=1.0
 )
 DP_INDEX = 20  # all 8 states on the support; M_j f(x) takes 123 values on its cycle
@@ -157,10 +159,10 @@ DP_N = 10**12
 def time_dp() -> dict[str, float]:
     """Time the Cesaro partial means to 10^6 and M_n at 10^12, after
     checking both against a per-step loop over the first DP_LOOP steps."""
-    spec = sk.generate_spec(DP_CONFIG, DP_INDEX)
-    space = sk.generate_space(DP_CONFIG, DP_INDEX)
+    spec = generate_spec(DP_CONFIG, DP_INDEX)
+    space = generate_space(DP_CONFIG, DP_INDEX)
     sys_ = sk.SkewSystem.create(
-        spec, sk.generate_family(DP_CONFIG, space, states=spec.n, index=DP_INDEX)
+        spec, generate_family(DP_CONFIG, space, states=spec.n, index=DP_INDEX)
     )
     f = np.random.default_rng(8).random(space.k)
     x = int(space.support[0])

@@ -26,7 +26,6 @@ from .ergodic import (
 )
 from .errors import (
     DimensionMismatch,
-    GenerationFailed,
     InternalInconsistency,
     InvalidPairState,
     MultipleStationary,
@@ -54,14 +53,6 @@ from .kernels import (
     strict_irreducibility_routes,
     trivial_kernel,
     validate_spec,
-)
-from .oracles import (
-    GeneratorConfig,
-    brute_force_deterministic_sets,
-    brute_force_invariant_sets,
-    generate_family,
-    generate_space,
-    generate_spec,
 )
 from .skew import (
     ErgodicityReport,

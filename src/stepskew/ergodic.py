@@ -84,18 +84,28 @@ def _row_keys(values: np.ndarray):
     <= v = w >> 11, c its partial sums but the last (as c·2⁵³ is exact, that
     is u >= c for w's uniform u): never a weight-0 column. With g = #{G <= v}
     for the distinct thresholds G, row y draws cols[#{keys <= y·(len(G) + 1)
-    + g} + y], keys holding y·(len(G) + 1) + #{G <= t} for its thresholds t."""
-    rows, cols = np.divmod(np.flatnonzero(values), values.shape[1])
-    counts = np.bincount(rows, minlength=len(values))
-    at = np.arange(len(rows)) - (np.cumsum(counts) - counts).take(rows)
-    sums = np.zeros((len(values), counts.max()))
-    sums[rows, at] = values[rows, cols]
+    + g} + y], keys holding y·(len(G) + 1) + #{G <= t} for its thresholds t.
+
+    Every row holds a nonzero. Row y's support fills sums[y] from the left,
+    so column masks place its weights and pick its thresholds, with no
+    index array over the entries held beside cols and the keys."""
+    cols = np.flatnonzero(values)
+    counts = np.bincount(cols // values.shape[1], minlength=len(values))
+    width = np.arange(counts.max())
+    sums = np.zeros((len(values), len(width)))
+    sums[width < counts[:, None]] = values.take(cols)
+    cols %= values.shape[1]
     np.cumsum(sums, axis=1, out=sums)
-    inner = at < counts.take(rows) - 1
-    T = np.ceil(sums[rows[inner], at[inner]] * 2.0**53)
+    T = sums[width < counts[:, None] - 1]
+    del sums
+    T *= 2.0**53
+    np.ceil(T, out=T)
     G = np.sort(T)  # in float64, as ceil keeps the order; np.unique loads numpy.ma
     G = G[np.diff(G, prepend=-1.0) > 0]
-    return cols, np.searchsorted(G, T) + 1 + rows[inner] * (len(G) + 1), G.astype(np.uint64)
+    keys = np.searchsorted(G, T)
+    del T
+    keys += 1 + np.arange(len(values)).repeat(counts - 1) * (len(G) + 1)
+    return cols, keys, G.astype(np.uint64)
 
 
 def _draw(p: ProbVector, words: np.ndarray) -> np.ndarray:

@@ -59,12 +59,8 @@ class NotApplicable(ValueError):
 
 
 class TooLarge(ValueError):
-    """Instance exceeds a named size cap: a brute-force routine's enumeration
-    cap, or a horizon or trial count of the ergodic routines."""
-
-
-class GenerationFailed(RuntimeError):
-    """Random instance generation exhausted its retry budget."""
+    """Instance exceeds a named size cap: a horizon or trial count of the
+    ergodic routines."""
 
 
 class InternalInconsistency(RuntimeError):

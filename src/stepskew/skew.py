@@ -24,9 +24,8 @@ too lie on cycles, and its classes are its connected components, labelled
 from edge arrays (one edge per active pair, never a matrix). A strictly
 irreducible kernel has one block; the quotient is then the orbit graph of
 the maps and the classes are (support) x (family-invariant blocks), the
-paper's main theorem. Brute-force subset enumeration (see the oracles
-module) and the double-loop pair kernel cross-check this reduction in the
-test suite.
+paper's main theorem. Brute-force subset enumeration and the double-loop
+pair kernel cross-check this reduction in the test suite.
 
 The two Id/swap constructions that witness the failure of the ergodicity
 implication for non-strictly-irreducible (resp. reducible) driving kernels

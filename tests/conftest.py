@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stepskew as sk
+from instances import generate_family
 from stepskew.graphs import Partition, indices_by_label
 
 
@@ -133,7 +134,7 @@ def ergodic_family(cfg, space, n_states, index, active=None, tries=60):
     if active is None:
         active = range(n_states)
     for t in range(tries):
-        fam = sk.generate_family(cfg, space, n_states, index=index * tries + t)
+        fam = generate_family(cfg, space, n_states, index=index * tries + t)
         if sk.family_invariant_partition(fam, active).trivial:
             return fam
     return None

@@ -1,9 +1,10 @@
-"""Independent ground-truth routes and random instance generators.
+"""Brute-force ground-truth routes and random instance generators.
 
 The brute-force routines re-derive structural answers by raw subset
 enumeration, sharing no code with the production predicates they check.
 Generators are pure functions of (config, instance index); identical
-inputs reproduce identical instances.
+inputs reproduce identical instances. Both serve the test suite and the
+scale script only; the package itself never calls them.
 """
 
 from __future__ import annotations
@@ -12,21 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FiniteMeasureSpace, TransformationFamily
-from .errors import GenerationFailed, MultipleStationary, TooLarge, ValidationError
-from .ergodic import substream
-from .kernels import (
+from stepskew import (
+    FiniteMeasureSpace,
     MarkovSpec,
+    MultipleStationary,
     ProbVector,
+    SkewSystem,
     StochasticMatrix,
+    TooLarge,
+    TransformationFamily,
+    ValidationError,
     stationary_distribution,
+    substream,
     validate_spec,
 )
-from .skew import SkewSystem
 
 _ENUM_STATE_CAP = 12
 _ENUM_PAIR_CAP = 16
 _MAX_ATTEMPTS = 100
+
+
+class GenerationFailed(RuntimeError):
+    """Random instance generation exhausted its retry budget."""
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ import numpy as np
 
 import stepskew as sk
 from conftest import report_classes, report_pairs, sorted_unions
+from instances import (
+    GeneratorConfig,
+    brute_force_deterministic_sets,
+    brute_force_invariant_sets,
+    generate_family,
+    generate_space,
+    generate_spec,
+)
 from stepskew.cli import config_system, main, render_config
 from stepskew.gallery import GALLERY_NAMES, gallery_config
 
@@ -23,16 +31,16 @@ def _basis(k):
 
 def _strict_system_pool(seed, count, bias=0.25):
     """Deterministic pool of strictly irreducible systems (spec + family)."""
-    cfg = sk.GeneratorConfig(
+    cfg = GeneratorConfig(
         seed=seed, n_states=(2, 5), n_points=(2, 4), degenerate_bias=bias
     )
     pool = []
     idx = 0
     while len(pool) < count:
-        spec = sk.generate_spec(cfg, index=idx)
+        spec = generate_spec(cfg, index=idx)
         if sk.is_strictly_irreducible(spec):
-            space = sk.generate_space(cfg, index=idx)
-            family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+            space = generate_space(cfg, index=idx)
+            family = generate_family(cfg, space, states=spec.n, index=idx)
             pool.append(sk.SkewSystem.create(spec, family))
         idx += 1
     return pool
@@ -57,21 +65,21 @@ def test_criterion_1_worked_example_reproduction():
 
 def test_criterion_2_equivalence_suite():
     t0 = time.perf_counter()
-    cfg = sk.GeneratorConfig(
+    cfg = GeneratorConfig(
         seed=20260801, n_states=(2, 6), n_points=(2, 5), degenerate_bias=0.35
     )
     n_specs = 1000
     n_families = 10
     strict_checked = counterexample_checked = 0
     for idx in range(n_specs):
-        spec = sk.generate_spec(cfg, index=idx)
+        spec = generate_spec(cfg, index=idx)
         strict = sk.is_strictly_irreducible(spec)
         if strict:
-            space = sk.generate_space(cfg, index=idx)
+            space = generate_space(cfg, index=idx)
             got = 0
             salt = 0
             while got < n_families:
-                family = sk.generate_family(
+                family = generate_family(
                     cfg, space, states=spec.n, index=idx * 1000 + salt
                 )
                 salt += 1
@@ -104,12 +112,12 @@ def test_criterion_2_equivalence_suite():
 
 def test_criterion_3_characterization_agreement():
     t0 = time.perf_counter()
-    cfg = sk.GeneratorConfig(
+    cfg = GeneratorConfig(
         seed=31337, n_states=(2, 7), n_points=(2, 4), degenerate_bias=0.3
     )
     disagreements = 0
     for idx in range(10_000):
-        spec = sk.generate_spec(cfg, index=idx)
+        spec = generate_spec(cfg, index=idx)
         routes = sk.strict_irreducibility_routes(spec)
         if len(set(routes.values())) != 1:
             disagreements += 1
@@ -125,27 +133,27 @@ def test_criterion_3_characterization_agreement():
 
 def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
-    cfg_a = sk.GeneratorConfig(seed=424201, n_states=(2, 12), degenerate_bias=0.4)
+    cfg_a = GeneratorConfig(seed=424201, n_states=(2, 12), degenerate_bias=0.4)
     for idx in range(400):
-        spec = sk.generate_spec(cfg_a, index=idx)
+        spec = generate_spec(cfg_a, index=idx)
         lattice = spec.deterministic_sets
         assert isinstance(lattice, sk.kernels.UnionLattice)
-        assert set(lattice) == set(sk.brute_force_deterministic_sets(spec))
-    cfg_b = sk.GeneratorConfig(
+        assert set(lattice) == set(brute_force_deterministic_sets(spec))
+    cfg_b = GeneratorConfig(
         seed=424202, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
     )
     lattices = 0
     idx = 0
     while lattices < 250:
-        spec = sk.generate_spec(cfg_b, index=idx)
-        space = sk.generate_space(cfg_b, index=idx)
-        family = sk.generate_family(cfg_b, space, states=spec.n, index=idx)
+        spec = generate_spec(cfg_b, index=idx)
+        space = generate_space(cfg_b, index=idx)
+        family = generate_family(cfg_b, space, states=spec.n, index=idx)
         idx += 1
         sys_ = sk.SkewSystem.create(spec, family)
         report = sys_.closed_classes
         if len(report_pairs(report)) > 16:
             continue
-        assert sk.brute_force_invariant_sets(sys_) == sorted_unions(report_classes(report))
+        assert brute_force_invariant_sets(sys_) == sorted_unions(report_classes(report))
         lattices += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -199,14 +207,14 @@ def test_criterion_6_cesaro_clause():
     assert worst_strict <= 1e-10
 
     # every system: the Cesaro limit integrates to the mean of f
-    cfg = sk.GeneratorConfig(
+    cfg = GeneratorConfig(
         seed=61002, n_states=(2, 5), n_points=(2, 4), degenerate_bias=0.35
     )
     worst_mass = 0.0
     for idx in range(200):
-        spec = sk.generate_spec(cfg, index=idx)
-        space = sk.generate_space(cfg, index=idx)
-        family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+        spec = generate_spec(cfg, index=idx)
+        space = generate_space(cfg, index=idx)
+        family = generate_family(cfg, space, states=spec.n, index=idx)
         sys_ = sk.SkewSystem.create(spec, family)
         rng = np.random.default_rng(idx)
         f = rng.normal(size=space.k)

@@ -38,7 +38,7 @@ def resolves(obj, dotted: str) -> bool:
 
 def test_readme_entry_points_resolve():
     table = entry_point_table()
-    assert set(table) == {"kernels", "dynamics", "skew", "ergodic", "oracles", "cli"}
+    assert set(table) == {"graphs", "kernels", "dynamics", "skew", "ergodic", "cli"}
     missing = [
         f"{module}.{name}"
         for module, names in table.items()

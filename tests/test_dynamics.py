@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import stepskew as sk
 from conftest import blocks
+from instances import GeneratorConfig, generate_family, generate_space
 from stepskew.kernels import EPS_SUM
 
-GEN = sk.GeneratorConfig(
+GEN = GeneratorConfig(
     seed=2222, n_points=(2, 5), family_style="mu-level-set-permutations"
 )
-GEN_U = sk.GeneratorConfig(seed=2223, n_points=(2, 5))
+GEN_U = GeneratorConfig(seed=2223, n_points=(2, 5))
 
 
 def uniform3():
@@ -295,8 +296,8 @@ def test_family_partition_refuses_non_indices(bad):
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_partition_blocks_are_invariant_and_finest(idx):
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=3, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=3, index=idx)
     part = sk.family_invariant_partition(family, range(3))
     supp = space.support.tolist()
     for y in range(3):
@@ -352,8 +353,8 @@ def test_condexp_two_block_average():
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_condexp_projection_and_mass(idx):
-    space = sk.generate_space(GEN, index=idx + 1000)
-    family = sk.generate_family(GEN, space, states=2, index=idx + 1000)
+    space = generate_space(GEN, index=idx + 1000)
+    family = generate_family(GEN, space, states=2, index=idx + 1000)
     rng = np.random.default_rng(idx)
     f = rng.normal(size=space.k)
     once = sk.conditional_expectation(family, range(2), f)
@@ -377,9 +378,9 @@ def per_block_condexp(family, active, f) -> np.ndarray:
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_condexp_matches_per_block_loop(idx):
-    cfg = sk.GeneratorConfig(seed=2224, n_points=(2, 40), family_style="mu-level-set-permutations")
-    space = sk.generate_space(cfg, index=idx)
-    family = sk.generate_family(cfg, space, states=3, index=idx)
+    cfg = GeneratorConfig(seed=2224, n_points=(2, 40), family_style="mu-level-set-permutations")
+    space = generate_space(cfg, index=idx)
+    family = generate_family(cfg, space, states=3, index=idx)
     f = np.random.default_rng(idx).normal(size=space.k)
     got = sk.conditional_expectation(family, range(3), f)
     # The two sum in different orders: each side rounds two sums of at most

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import stepskew as sk
 import stepskew.ergodic as ergodic
 from conftest import spec_of, system_of
+from instances import GeneratorConfig, generate_family, generate_space, generate_spec
 
-GEN = sk.GeneratorConfig(
+GEN = GeneratorConfig(
     seed=4444, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.3
 )
 
@@ -95,9 +96,9 @@ def _row_draws_matter(spec):
 
 # Generated specs on which a misplaced uniform changes the path; the second
 # list keeps those that also have zero-mass states.
-DRAWN_SPECS = [i for i in range(160) if _row_draws_matter(sk.generate_spec(GEN, index=i))]
+DRAWN_SPECS = [i for i in range(160) if _row_draws_matter(generate_spec(GEN, index=i))]
 ZERO_MASS_SPECS = [
-    i for i in DRAWN_SPECS if (sk.generate_spec(GEN, index=i).m.values == 0).any()
+    i for i in DRAWN_SPECS if (generate_spec(GEN, index=i).m.values == 0).any()
 ]
 
 
@@ -113,7 +114,7 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
     # trial t of orbit_occupancy runs on stream t, as sample_path(stream=t)
     import stepskew.ergodic as ergodic
 
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
     trials = data.draw(st.integers(1, 3))
     paths = [reference_path(spec, seed, length, start, t) for t in range(trials)]
@@ -125,8 +126,8 @@ def test_samplers_match_reference_draw(length, idx, seed, data):
     edges = st.sampled_from([1, 2, 4095, 4096, 4097, 8192]).filter(lambda n: n <= length)
     checkpoints = sorted(data.draw(st.sets(edges | st.integers(1, length), max_size=4)) | {length})
     visits = data.draw(st.sampled_from([1, 7, 3000, ergodic._VISITS]))
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     x = int(space.support[0])
     with pytest.MonkeyPatch.context() as mp:
@@ -438,6 +439,49 @@ def test_table_size_check_counts_entries_and_draws(monkeypatch):
         monkeypatch.undo()
 
 
+def reference_row_keys(values: np.ndarray):
+    """_row_keys by index arrays over every nonzero entry, all held at once:
+    its oracle, bit for bit."""
+    rows, cols = np.divmod(np.flatnonzero(values), values.shape[1])
+    counts = np.bincount(rows, minlength=len(values))
+    at = np.arange(len(rows)) - (np.cumsum(counts) - counts).take(rows)
+    sums = np.zeros((len(values), counts.max()))
+    sums[rows, at] = values[rows, cols]
+    np.cumsum(sums, axis=1, out=sums)
+    inner = at < counts.take(rows) - 1
+    T = np.ceil(sums[rows[inner], at[inner]] * 2.0**53)
+    G = np.sort(T)
+    G = G[np.diff(G, prepend=-1.0) > 0]
+    return cols, np.searchsorted(G, T) + 1 + rows[inner] * (len(G) + 1), G.astype(np.uint64)
+
+
+def dense_kernel(n: int, seed: int) -> np.ndarray:
+    """A random n-state kernel with every entry positive."""
+    rows = np.random.default_rng(seed).random((n, n)) + 1e-3
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@given(raw_kernels() | st.integers(1, 40).map(lambda n: dense_kernel(n, n)))
+@settings(max_examples=80, deadline=None)
+def test_row_keys_match_the_index_array_oracle(kernel):
+    for got, want in zip(ergodic._row_keys(kernel), reference_row_keys(kernel)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_row_keys_hold_no_index_array_beyond_their_outputs():
+    # a dense 300-state kernel: the index arrays over all 90,000 entries held
+    # at once peaked at 8.1 words a nonzero, the outputs are 3
+    kernel = dense_kernel(300, 7)
+    tracemalloc.start()
+    try:
+        ergodic._row_keys(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * kernel.size * 8
+
+
 def spy_tables(monkeypatch) -> list:
     """Record (table size, bound, draws served) of every pair table
     _pair_table builds, and None for each it refuses."""
@@ -521,11 +565,11 @@ def test_fallback_walk_memory_grows_with_the_supports(monkeypatch):
 def test_entry_points_match_reference_on_both_sides_of_the_table_bound(
     bound, idx, seed, length, data
 ):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     start = data.draw(st.none() | st.sampled_from([int(y) for y in spec.support]))
     trials = data.draw(st.integers(1, 3))
-    space = sk.generate_space(GEN, index=idx)
-    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=idx))
+    space = generate_space(GEN, index=idx)
+    sys_ = sk.SkewSystem.create(spec, generate_family(GEN, space, states=spec.n, index=idx))
     x = int(space.support[0])
     with pytest.MonkeyPatch.context() as mp:
         built = spy_tables(mp)
@@ -590,8 +634,8 @@ def reference_occupancy(sys_, seed, trials, checkpoints, x0):
 def test_occupancy_folds_across_block_and_buffer_edges(trials, block, checkpoints):
     assert max(ergodic._BINNED // trials, 1) == block
     idx = DRAWN_SPECS[0]
-    spec, space = sk.generate_spec(GEN, index=idx), sk.generate_space(GEN, index=idx)
-    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=idx))
+    spec, space = generate_spec(GEN, index=idx), generate_space(GEN, index=idx)
+    sys_ = sk.SkewSystem.create(spec, generate_family(GEN, space, states=spec.n, index=idx))
     support = space.support.tolist()
     x0 = np.array([support[t % len(support)] for t in range(trials)])
     first, occ = sk.orbit_occupancy(sys_, 3, trials, checkpoints, x0)
@@ -721,9 +765,9 @@ def test_mn_alternates_on_deterministic_chain(bufetov_system):
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=30, deadline=None)
 def test_mn_preserves_mass(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     ones = np.ones(space.k)
     x = int(space.support[0])
@@ -789,9 +833,9 @@ def test_blocked_dp_matches_per_step_dp(idx, zero_points, block, data):
     # and a last one runs three periods past the block where the cycle is found
     import stepskew.ergodic as ergodic
 
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     tables, mu, k = family.tables.tolist(), list(space.mu.values), space.k
     if zero_points:  # two more points of zero mass, swapped by the odd states
         tables = [t + ([k + 1, k] if y % 2 else [k, k + 1]) for y, t in enumerate(tables)]
@@ -825,9 +869,9 @@ def test_dp_without_a_cycle_matches_per_step_dp():
     # within the horizon, run one step per block
     import stepskew.ergodic as ergodic
 
-    spec = sk.generate_spec(GEN, index=359)
-    space = sk.generate_space(GEN, index=359)
-    sys_ = sk.SkewSystem.create(spec, sk.generate_family(GEN, space, states=spec.n, index=359))
+    spec = generate_spec(GEN, index=359)
+    space = generate_space(GEN, index=359)
+    sys_ = sk.SkewSystem.create(spec, generate_family(GEN, space, states=spec.n, index=359))
     f, x, horizon = np.array([0.25, -1.5]), 0, 600
     assert first_repeat(sys_, x, horizon) is None
     values, partial = oracle_values(sys_, f, x, horizon)
@@ -894,9 +938,9 @@ def test_cesaro_equals_condexp_when_strict():
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=40, deadline=None)
 def test_cesaro_integrates_to_mean(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     rng = np.random.default_rng(idx)
     f = rng.normal(size=space.k)
@@ -924,10 +968,10 @@ def per_state_cesaro_limit(sys_, f, x) -> float:
 @given(st.integers(min_value=0, max_value=2_000))
 @settings(max_examples=60, deadline=None)
 def test_cesaro_limit_matches_per_state_loop_bit_for_bit(idx):
-    cfg = sk.GeneratorConfig(seed=4445, n_states=(1, 8), n_points=(1, 6), degenerate_bias=0.5)
-    spec = sk.generate_spec(cfg, index=idx)
-    space = sk.generate_space(cfg, index=idx)
-    family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+    cfg = GeneratorConfig(seed=4445, n_states=(1, 8), n_points=(1, 6), degenerate_bias=0.5)
+    spec = generate_spec(cfg, index=idx)
+    space = generate_space(cfg, index=idx)
+    family = generate_family(cfg, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     f = np.random.default_rng(idx).normal(size=space.k)
     for x in space.support:
@@ -965,11 +1009,11 @@ def test_cesaro_partial_matches_closed_form(bufetov_system):
 @given(st.integers(min_value=0, max_value=600))
 @settings(max_examples=40, deadline=None)
 def test_limit_is_condexp_for_strictly_irreducible(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if not sk.is_strictly_irreducible(spec):
         return
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     for p in range(space.k):
         f = np.zeros(space.k)

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 import stepskew as sk
 import stepskew.kernels
 from conftest import blocks, sorted_unions, spec_of
+from instances import GeneratorConfig, brute_force_deterministic_sets, generate_spec
 from stepskew.gallery import GALLERY_NAMES, gallery_config
 from stepskew.graphs import strongly_connected_components
 
-GEN = sk.GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
-WIDE_GEN = sk.GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degenerate_bias=0.35)
+GEN = GeneratorConfig(seed=1111, n_states=(2, 6), sparsity=2.5, degenerate_bias=0.35)
+WIDE_GEN = GeneratorConfig(seed=1112, n_states=(20, 90), sparsity=12.0, degenerate_bias=0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_stationary_refuses_two_closed_classes_with_transient_state():
 @given(st.integers(min_value=0, max_value=2000))
 @settings(max_examples=100, deadline=None)
 def test_stationary_unique_exactly_when_one_closed_class(idx):
-    kernel = sk.generate_spec(GEN, index=idx).kernel
+    kernel = generate_spec(GEN, index=idx).kernel
     s = scipy.linalg.svd(kernel.values.T - np.eye(kernel.n), compute_uv=False)
     try:
         m = sk.stationary_distribution(kernel)
@@ -235,7 +236,7 @@ def test_reach_set_refuses_non_indices(period2_spec, bad):
 @given(st.integers(min_value=0, max_value=300))
 @settings(max_examples=60, deadline=None)
 def test_reach_positive_mass_and_closure(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     supp = spec.support.tolist()
     rng = np.random.default_rng(idx)
     b = {int(y) for y in rng.choice(supp, size=rng.integers(1, len(supp) + 1), replace=False)}
@@ -277,13 +278,13 @@ def _has_nontrivial_absorbing(spec):
 
 
 @pytest.mark.parametrize(
-    "cfg", [GEN, sk.GeneratorConfig(seed=1113, n_states=(1, 8), degenerate_bias=0.5)]
+    "cfg", [GEN, GeneratorConfig(seed=1113, n_states=(1, 8), degenerate_bias=0.5)]
 )
 def test_irreducible_matches_one_scc_on_the_support(cfg):
     # the SCC search over the support pattern that is_irreducible replaced
     verdicts = set()
     for idx in range(300):
-        spec = sk.generate_spec(cfg, index=idx)
+        spec = generate_spec(cfg, index=idx)
         supp = spec.support
         want = strongly_connected_components(spec.kernel.pattern[np.ix_(supp, supp)]).n_blocks == 1
         assert sk.is_irreducible(spec) == want, idx
@@ -294,7 +295,7 @@ def test_irreducible_matches_one_scc_on_the_support(cfg):
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)
 def test_irreducibility_matches_absorbing_search(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     assert sk.is_irreducible(spec) == (not _has_nontrivial_absorbing(spec))
 
 
@@ -321,7 +322,7 @@ def test_reverse_formula_evaluation():
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)
 def test_reverse_involution_and_invariance(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     rev = sk.reverse_kernel(spec)
     # m stays invariant
     assert np.abs(spec.m.values @ rev.values - spec.m.values).max() <= 1e-9
@@ -385,7 +386,7 @@ def test_strict_cyclic_overlap_true():
     spec = spec_of(
         [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]], [1 / 3] * 3
     )
-    assert sk.brute_force_deterministic_sets(spec) == [
+    assert brute_force_deterministic_sets(spec) == [
         frozenset(),
         frozenset({0, 1, 2}),
     ]
@@ -395,7 +396,7 @@ def test_strict_cyclic_overlap_true():
 @given(st.integers(min_value=0, max_value=2000))
 @settings(max_examples=150, deadline=None)
 def test_four_routes_agree(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     routes = sk.strict_irreducibility_routes(spec)
     assert len(set(routes.values())) == 1
     assert sk.is_strictly_irreducible(spec) == routes["sim"]
@@ -406,7 +407,7 @@ def test_four_routes_agree(idx):
 def test_gram_routes_in_float64_match_int64(idx, cfg):
     # The Gram entries count common successors (or predecessors), at most n,
     # so float64 holds them exactly and the patterns cannot differ.
-    spec = sk.generate_spec(cfg, index=idx)
+    spec = generate_spec(cfg, index=idx)
     supp = spec.support
     pat = spec.kernel.pattern[np.ix_(supp, supp)]
     p, q = pat.astype(np.int64), pat.astype(np.float64)
@@ -438,7 +439,7 @@ def test_disagreeing_routes_raise(period2_spec):
 @given(st.integers(min_value=0, max_value=2000))
 @settings(max_examples=100, deadline=None)
 def test_strict_implies_irreducible(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if sk.is_strictly_irreducible(spec):
         assert sk.is_irreducible(spec)
 
@@ -446,7 +447,7 @@ def test_strict_implies_irreducible(idx):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=50, deadline=None)
 def test_strict_depends_only_on_pattern(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     before = sk.is_strictly_irreducible(spec)
     rng = np.random.default_rng(idx + 31)
     values = spec.kernel.values.copy()
@@ -500,10 +501,10 @@ def test_deterministic_sets_identity_two_states():
 @given(st.integers(min_value=0, max_value=1500))
 @settings(max_examples=100, deadline=None)
 def test_deterministic_sets_match_brute_force(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     lattice = spec.deterministic_sets
     assert isinstance(lattice, stepskew.kernels.UnionLattice)
-    assert set(lattice) == set(sk.brute_force_deterministic_sets(spec))
+    assert set(lattice) == set(brute_force_deterministic_sets(spec))
     listed = list(lattice)
     assert listed == sorted_unions(blocks(spec.sim))
     assert len(listed) == 2 ** len(lattice.blocks) == 2 ** spec.sim.n_blocks
@@ -554,7 +555,7 @@ def test_union_lattice_membership_iterates_nothing(monkeypatch):
 @given(st.integers(min_value=0, max_value=1500))
 @settings(max_examples=60, deadline=None)
 def test_deterministic_check_matches_definition(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     sets = set(spec.deterministic_sets)
     supp = spec.support.tolist()
     rng = np.random.default_rng(idx + 7)

@@ -18,13 +18,21 @@ from conftest import (
     spec_of,
     system_of,
 )
+from instances import (
+    GeneratorConfig,
+    brute_force_deterministic_sets,
+    brute_force_invariant_sets,
+    generate_family,
+    generate_space,
+    generate_spec,
+)
 
 
 # ---------------------------------------------------------------------------
 # brute_force_deterministic_sets
 # ---------------------------------------------------------------------------
 def test_bf_deterministic_period2(period2_spec):
-    assert set(sk.brute_force_deterministic_sets(period2_spec)) == {
+    assert set(brute_force_deterministic_sets(period2_spec)) == {
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -36,7 +44,7 @@ def test_bf_deterministic_strictly_irreducible_three_state():
     spec = spec_of(
         [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]], [1 / 3] * 3
     )
-    assert sk.brute_force_deterministic_sets(spec) == [
+    assert brute_force_deterministic_sets(spec) == [
         frozenset(),
         frozenset({0, 1, 2}),
     ]
@@ -46,26 +54,26 @@ def test_bf_deterministic_too_large():
     n = 13
     spec = spec_of(np.eye(n), np.full(n, 1.0 / n))
     with pytest.raises(sk.TooLarge):
-        sk.brute_force_deterministic_sets(spec)
+        brute_force_deterministic_sets(spec)
 
 
 def test_bf_deterministic_ignores_zero_mass_states():
     spec = spec_of([[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
-    assert sk.brute_force_deterministic_sets(spec) == [frozenset(), frozenset({0})]
+    assert brute_force_deterministic_sets(spec) == [frozenset(), frozenset({0})]
 
 
 # ---------------------------------------------------------------------------
 # brute_force_invariant_sets
 # ---------------------------------------------------------------------------
 def test_bf_invariant_bufetov_lattice(bufetov_system):
-    lattice = sk.brute_force_invariant_sets(bufetov_system)
+    lattice = brute_force_invariant_sets(bufetov_system)
     assert len(lattice) == 8  # three independent 2-cycles
     report = bufetov_system.closed_classes
     assert lattice == sorted_unions(report_classes(report))
 
 
 def test_bf_invariant_ergodic_trivial(rotation_system):
-    assert sk.brute_force_invariant_sets(rotation_system) == [
+    assert brute_force_invariant_sets(rotation_system) == [
         frozenset(),
         frozenset(range(6)),
     ]
@@ -76,7 +84,7 @@ def test_bf_invariant_too_large():
     sys_ = system_of(spec, [[0, 1, 2, 3, 4]] * 4)
     assert len(report_pairs(sys_.closed_classes)) == 20
     with pytest.raises(sk.TooLarge):
-        sk.brute_force_invariant_sets(sys_)
+        brute_force_invariant_sets(sys_)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,11 @@ def test_sampled_averages_lie_in_the_clt_band():
             reached = limits_in_band(sys_, np.eye(sys_.family.space.k), 29, 30, horizon, rng)
             if not sys_.closed_classes.ergodic:
                 assert min(reached) >= 2, name
-    cfg = sk.GeneratorConfig(seed=2929, n_states=(2, 5), n_points=(2, 4), degenerate_bias=0.3)
+    cfg = GeneratorConfig(seed=2929, n_states=(2, 5), n_points=(2, 4), degenerate_bias=0.3)
     several = 0
     for idx in range(40):
-        spec, space = sk.generate_spec(cfg, index=idx), sk.generate_space(cfg, index=idx)
-        sys_ = sk.SkewSystem.create(spec, sk.generate_family(cfg, space, states=spec.n, index=idx))
+        spec, space = generate_spec(cfg, index=idx), generate_space(cfg, index=idx)
+        sys_ = sk.SkewSystem.create(spec, generate_family(cfg, space, states=spec.n, index=idx))
         (reached,) = limits_in_band(sys_, [rng.random(space.k)], idx, 30, 5_000, rng)
         several += reached >= 2
     assert several >= 10
@@ -198,9 +206,9 @@ def test_rotation_band_matches_the_walk_on_z3(rotation_system):
 # generators
 # ---------------------------------------------------------------------------
 def test_generator_reproducible():
-    cfg = sk.GeneratorConfig(seed=909, degenerate_bias=0.4)
-    a = sk.generate_spec(cfg, index=17)
-    b = sk.generate_spec(cfg, index=17)
+    cfg = GeneratorConfig(seed=909, degenerate_bias=0.4)
+    a = generate_spec(cfg, index=17)
+    b = generate_spec(cfg, index=17)
     assert np.array_equal(a.kernel.values, b.kernel.values)
     assert np.array_equal(a.m.values, b.m.values)
 
@@ -208,17 +216,17 @@ def test_generator_reproducible():
 @given(st.integers(min_value=0, max_value=3000))
 @settings(max_examples=120, deadline=None)
 def test_generated_specs_validate(idx):
-    cfg = sk.GeneratorConfig(seed=909, degenerate_bias=0.4)
-    spec = sk.generate_spec(cfg, index=idx)
+    cfg = GeneratorConfig(seed=909, degenerate_bias=0.4)
+    spec = generate_spec(cfg, index=idx)
     # re-validation from raw parts must succeed
     sk.validate_spec(spec.kernel, spec.m)
 
 
 def test_deterministic_stitch_forces_non_strict():
-    cfg = sk.GeneratorConfig(seed=31, degenerate_bias=1.0)
+    cfg = GeneratorConfig(seed=31, degenerate_bias=1.0)
     found = 0
     for idx in range(60):
-        spec = sk.generate_spec(cfg, index=idx)
+        spec = generate_spec(cfg, index=idx)
         if sk.is_irreducible(spec):
             found += 1
             assert not sk.is_strictly_irreducible(spec)
@@ -228,28 +236,28 @@ def test_deterministic_stitch_forces_non_strict():
 
 
 def test_absorbing_stitch_appears():
-    cfg = sk.GeneratorConfig(seed=31, degenerate_bias=1.0)
+    cfg = GeneratorConfig(seed=31, degenerate_bias=1.0)
     reducible = sum(
-        not sk.is_irreducible(sk.generate_spec(cfg, index=i)) for i in range(60)
+        not sk.is_irreducible(generate_spec(cfg, index=i)) for i in range(60)
     )
     assert reducible >= 10
 
 
 def test_generated_families_validate():
-    cfg = sk.GeneratorConfig(seed=55, family_style="mu-level-set-permutations")
+    cfg = GeneratorConfig(seed=55, family_style="mu-level-set-permutations")
     for idx in range(30):
-        space = sk.generate_space(cfg, index=idx)
-        fam = sk.generate_family(cfg, space, states=3, index=idx)
+        space = generate_space(cfg, index=idx)
+        fam = generate_family(cfg, space, states=3, index=idx)
         sk.TransformationFamily.create(space, fam.tables)
 
 
 def test_level_set_constraint_respected():
     # mu = (1/2, 1/4, 1/4): every sampled permutation must fix point 0
-    cfg = sk.GeneratorConfig(seed=88, family_style="mu-level-set-permutations")
+    cfg = GeneratorConfig(seed=88, family_style="mu-level-set-permutations")
     space = sk.FiniteMeasureSpace.create(("a", "b", "c"), [0.5, 0.25, 0.25])
     saw_swap = False
     for idx in range(20):
-        fam = sk.generate_family(cfg, space, states=2, index=idx)
+        fam = generate_family(cfg, space, states=2, index=idx)
         for table in fam.tables:
             assert table[0] == 0
             saw_swap = saw_swap or table[1] == 2
@@ -257,24 +265,24 @@ def test_level_set_constraint_respected():
 
 
 def test_single_point_space_only_identity():
-    cfg = sk.GeneratorConfig(seed=12)
+    cfg = GeneratorConfig(seed=12)
     space = sk.uniform_space(("only",))
-    fam = sk.generate_family(cfg, space, states=4, index=0)
+    fam = generate_family(cfg, space, states=4, index=0)
     assert fam.tables.tolist() == [[0]] * 4
 
 
 def test_generator_config_validation():
     with pytest.raises(sk.ValidationError):
-        sk.GeneratorConfig(seed=1, n_states=(5, 2))
+        GeneratorConfig(seed=1, n_states=(5, 2))
     with pytest.raises(sk.ValidationError):
-        sk.GeneratorConfig(seed=1, sparsity=0.5)
+        GeneratorConfig(seed=1, sparsity=0.5)
     with pytest.raises(sk.ValidationError):
-        sk.GeneratorConfig(seed=1, family_style="nope")
+        GeneratorConfig(seed=1, family_style="nope")
 
 
 @given(st.integers(min_value=0, max_value=1500))
 @settings(max_examples=60, deadline=None)
 def test_bf_deterministic_equals_sim_class_closure(idx):
-    cfg = sk.GeneratorConfig(seed=606, degenerate_bias=0.45)
-    spec = sk.generate_spec(cfg, index=idx)
-    assert sk.brute_force_deterministic_sets(spec) == sorted_unions(blocks(sk.sim_classes(spec)))
+    cfg = GeneratorConfig(seed=606, degenerate_bias=0.45)
+    spec = generate_spec(cfg, index=idx)
+    assert brute_force_deterministic_sets(spec) == sorted_unions(blocks(sk.sim_classes(spec)))

@@ -28,15 +28,22 @@ from conftest import (
     spec_of,
     system_of,
 )
+from instances import (
+    GeneratorConfig,
+    brute_force_invariant_sets,
+    generate_family,
+    generate_space,
+    generate_spec,
+)
 from stepskew.gallery import GALLERY_NAMES, gallery_config
 from stepskew.graphs import Partition, closed_components
 
-GEN = sk.GeneratorConfig(
+GEN = GeneratorConfig(
     seed=3333, n_states=(2, 4), n_points=(2, 4), degenerate_bias=0.35
 )
 # Up to 8 states, half of them stitched into alternating (non-strict) or
 # absorbing (reducible) blocks; the absorbing ones leave zero-mass states.
-QUOTIENT_GEN = sk.GeneratorConfig(seed=3335, n_states=(1, 8), degenerate_bias=0.5)
+QUOTIENT_GEN = GeneratorConfig(seed=3335, n_states=(1, 8), degenerate_bias=0.5)
 FOUR_STATE_BLOCK = [
     [0.0, 0.0, 0.5, 0.5],
     [0.0, 0.0, 0.5, 0.5],
@@ -97,7 +104,7 @@ def quotient_system(idx: int, zero_points: int, identity_share: float) -> sk.Ske
     anywhere by the maps; a share of the maps fix every point, which makes
     wide class lattices.
     """
-    spec = sk.generate_spec(QUOTIENT_GEN, index=idx)
+    spec = generate_spec(QUOTIENT_GEN, index=idx)
     rng = np.random.default_rng(idx)
     positive = int(rng.integers(1, min(6, 64 // len(spec.support)) + 1))
     k = positive + zero_points
@@ -216,11 +223,11 @@ def test_closed_classes_reject_a_split_row_with_no_transient_node():
     # Forced blocks {0, 2} {1} split every row of this kernel's pattern,
     # yet each quotient node keeps an in-edge: nothing looks transient, and
     # without the guard the quotient gives two classes where there is one.
-    cfg = sk.GeneratorConfig(seed=7, n_states=(3, 6), n_points=(1, 3), sparsity=2.0)
-    spec = sk.generate_spec(cfg, index=0)
+    cfg = GeneratorConfig(seed=7, n_states=(3, 6), n_points=(1, 3), sparsity=2.0)
+    spec = generate_spec(cfg, index=0)
     assert spec.kernel.pattern.astype(int).tolist() == [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
-    space = sk.generate_space(cfg, index=0)
-    sys_ = sk.SkewSystem.create(spec, sk.generate_family(cfg, space, states=spec.n, index=0))
+    space = generate_space(cfg, index=0)
+    sys_ = sk.SkewSystem.create(spec, generate_family(cfg, space, states=spec.n, index=0))
     spec.__dict__["sim"] = Partition(np.array([0, 1, 0]), 2)
     with pytest.raises(sk.InternalInconsistency, match=r"support of states \[0, 1, 2\]"):
         sys_.closed_classes
@@ -296,9 +303,9 @@ def test_pair_chain_built_once_per_system(monkeypatch):
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_pair_chain_stationarity(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     analysis = sys_.closed_classes  # passes its own invariance check
     stationary = np.array(
@@ -444,9 +451,9 @@ def test_basis_identity_family_strictly_irreducible():
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=40, deadline=None)
 def test_basis_satisfies_fixed_point_identity(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     kernel = reference_pair_kernel(sys_)
     for g in sk.invariant_function_basis(sys_):
@@ -456,10 +463,10 @@ def test_basis_satisfies_fixed_point_identity(idx):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=60, deadline=None)
 def test_per_class_fixed_dim_matches_whole_matrix_svd(idx):
-    cfg = sk.GeneratorConfig(seed=3334, n_states=(2, 8), n_points=(2, 8), degenerate_bias=0.35)
-    spec = sk.generate_spec(cfg, index=idx)
-    space = sk.generate_space(cfg, index=idx)
-    family = sk.generate_family(cfg, space, states=spec.n, index=idx)
+    cfg = GeneratorConfig(seed=3334, n_states=(2, 8), n_points=(2, 8), degenerate_bias=0.35)
+    spec = generate_spec(cfg, index=idx)
+    space = generate_space(cfg, index=idx)
+    family = generate_family(cfg, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     assert len(report_pairs(sys_.closed_classes)) <= 64
     # one fixed direction per closed class (Perron-Frobenius on each)
@@ -503,11 +510,11 @@ def test_product_structure_single_driving_state():
 @given(st.integers(min_value=0, max_value=600))
 @settings(max_examples=60, deadline=None)
 def test_product_structure_true_for_strictly_irreducible(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if not sk.is_strictly_irreducible(spec):
         return
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     assert sk.check_product_structure(sk.SkewSystem.create(spec, family))
 
 
@@ -568,7 +575,7 @@ def test_base_counterexample_identity_kernel_classes():
     report = sys_.closed_classes
     assert len(report_classes(report)) == 3
     assert not report.product_structured
-    lattice = sk.brute_force_invariant_sets(sys_)
+    lattice = brute_force_invariant_sets(sys_)
     assert len(lattice) == 8
 
 
@@ -596,7 +603,7 @@ def test_base_counterexample_not_applicable_when_irreducible(period2_spec):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=60, deadline=None)
 def test_base_counterexample_breaks_product_structure(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if sk.is_irreducible(spec):
         return
     report = sk.build_base_counterexample(spec).closed_classes
@@ -620,7 +627,7 @@ def reach_set_swap_states(spec: sk.MarkovSpec) -> list[int]:
 def test_base_counterexample_matches_reach_set_search(gen):
     checked = 0
     for idx in range(300):
-        spec = sk.generate_spec(gen, index=idx)
+        spec = generate_spec(gen, index=idx)
         if sk.is_irreducible(spec):
             continue
         swap = np.zeros(spec.n, dtype=bool)
@@ -637,10 +644,10 @@ def test_base_counterexample_matches_reach_set_search(gen):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=60, deadline=None)
 def test_forward_direction_sampled(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if not sk.is_strictly_irreducible(spec):
         return
-    space = sk.generate_space(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
     family = ergodic_family(GEN, space, spec.n, index=idx, active=spec.support)
     if family is None:
         return
@@ -650,7 +657,7 @@ def test_forward_direction_sampled(idx):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=60, deadline=None)
 def test_converse_direction_sampled(idx):
-    spec = sk.generate_spec(GEN, index=idx)
+    spec = generate_spec(GEN, index=idx)
     if sk.is_strictly_irreducible(spec) or not sk.is_irreducible(spec):
         return
     sys_ = sk.build_counterexample_family(spec)
@@ -661,9 +668,9 @@ def test_converse_direction_sampled(idx):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=60, deadline=None)
 def test_easy_direction(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     if sys_.closed_classes.ergodic:
         assert sk.family_invariant_partition(family, spec.support).trivial
@@ -673,11 +680,11 @@ def test_easy_direction(idx):
 @given(st.integers(min_value=0, max_value=800))
 @settings(max_examples=50, deadline=None)
 def test_classes_match_brute_force_lattice(idx):
-    spec = sk.generate_spec(GEN, index=idx)
-    space = sk.generate_space(GEN, index=idx)
-    family = sk.generate_family(GEN, space, states=spec.n, index=idx)
+    spec = generate_spec(GEN, index=idx)
+    space = generate_space(GEN, index=idx)
+    family = generate_family(GEN, space, states=spec.n, index=idx)
     sys_ = sk.SkewSystem.create(spec, family)
     report = sys_.closed_classes
     if len(report_pairs(report)) > 16:
         return
-    assert sk.brute_force_invariant_sets(sys_) == sorted_unions(report_classes(report))
+    assert brute_force_invariant_sets(sys_) == sorted_unions(report_classes(report))
